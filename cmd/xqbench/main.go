@@ -46,7 +46,7 @@ func run() error {
 	budget := flag.Int("budget", 0, "per-query memory budget in bytes (0 = unlimited): caps operator buffering and sort memory; over-budget operators spill to disk")
 	seed := flag.Int64("seed", 1, "workload seed")
 	join := flag.String("join", "auto", "force the join operator family in the efficiency suite: auto, twig, structural, structural-anc, inl, nl, bnl (non-auto runs the M4 engine only)")
-	batch := flag.Int("batch", exec.DefaultBatchSize, "operator batch capacity of the TPM engines (0 = row-at-a-time fallback)")
+	batch := flag.Int("batch", exec.DefaultBatchSize, "operator batch capacity of the TPM engines (0 = default)")
 	dop := flag.Int("dop", 0, "intra-query parallelism of the TPM engines (0 = serial): the planner may run large leaf scans under exchange operators with this many workers; also the parallel-suite worker count (where 0 means 4)")
 	runs := flag.Int("runs", 1, "efficiency suite repetitions; the -json output reports per-test medians over them")
 	planCache := flag.Int("plancache", 0, "plan-cache entries shared across efficiency runs (0 = no cache); repeated runs skip parse+optimize and the hit rate is reported")
@@ -91,13 +91,6 @@ func run() error {
 		fmt.Println()
 	}
 
-	// The CLI exposes 0 as the row-at-a-time fallback; the core config
-	// encodes row mode as a negative capacity (0 there means "default").
-	coreBatch := *batch
-	if *batch == 0 {
-		coreBatch = -1
-	}
-
 	var rows []testbed.EffRow
 	if *suite == "efficiency" || *suite == "grading" || *suite == "all" {
 		cap := *timeout
@@ -124,7 +117,7 @@ func run() error {
 			MemBudget:   *budget,
 			Modes:       joinModes,
 			Opt:         joinOpt,
-			BatchSize:   coreBatch,
+			BatchSize:   *batch,
 			DOP:         *dop,
 		}
 		if *runs < 1 {
@@ -234,7 +227,7 @@ func run() error {
 // benchEngine is one engine's entry in the -json output.
 type benchEngine struct {
 	Name string `json:"name"`
-	// Batch is the CLI batch capacity (0 = row-at-a-time fallback).
+	// Batch is the CLI batch capacity (0 = default).
 	Batch int `json:"batch"`
 	// TestsSec holds the per-test median seconds over all runs.
 	TestsSec []float64 `json:"tests_sec"`

@@ -51,7 +51,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "default per-query timeout (0 = unlimited)")
 		memBudget  = flag.Int("membudget", 0, "default per-query memory budget in bytes (0 = unlimited)")
 		sortBudget = flag.Int("sortbudget", 1<<20, "default operator sort/spool budget in bytes")
-		batch      = flag.Int("batch", 0, "default executor batch size (0 = default, <0 = row mode)")
 		dop        = flag.Int("dop", 0, "default degree of intra-query parallelism")
 		loads      loadFlags
 	)
@@ -100,7 +99,6 @@ func main() {
 			Timeout:    *timeout,
 			MemBudget:  *memBudget,
 			SortBudget: *sortBudget,
-			BatchSize:  *batch,
 			DOP:        *dop,
 		},
 	})

@@ -22,6 +22,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -98,10 +99,9 @@ type Config struct {
 	// NoMerge disables relfor merging regardless of Mode (ablations).
 	NoMerge bool
 	// BatchSize sets the operator batch capacity of the milestone 3/4
-	// executor: 0 uses exec.DefaultBatchSize, a negative value forces
-	// row-at-a-time execution (every operator runs through the row
-	// adapter — the pre-batching engine, kept as a correctness oracle and
-	// ablation point).
+	// executor (0 uses exec.DefaultBatchSize). The fuzz and robustness
+	// harnesses run awkward sizes (1, 7) to shake out batch-boundary bugs;
+	// a negative value fails every query with ErrBatchSize.
 	BatchSize int
 	// DOP is the degree of intra-query parallelism (0 or 1 = serial): the
 	// planner may wrap large leaf scans in exchange operators running up
@@ -120,6 +120,9 @@ type Config struct {
 	// single-document cache.
 	CacheDoc plancache.DocVersion
 }
+
+// ErrBatchSize rejects a negative Config.BatchSize.
+var ErrBatchSize = errors.New("core: negative BatchSize")
 
 // Engine evaluates XQ queries over one stored document under a fixed
 // configuration. All methods are safe for concurrent use.
@@ -389,6 +392,9 @@ func (e *Engine) runPlan(xplan exec.XPlan, dl *limit.Deadline, h *Handle) ([]byt
 }
 
 func (e *Engine) execCtx(dl *limit.Deadline) (*exec.Ctx, *limit.Budget, error) {
+	if e.cfg.BatchSize < 0 {
+		return nil, nil, ErrBatchSize
+	}
 	tmp, err := e.st.TempDir()
 	if err != nil {
 		return nil, nil, err
@@ -404,13 +410,8 @@ func (e *Engine) execCtx(dl *limit.Deadline) (*exec.Ctx, *limit.Budget, error) {
 		Env:        exec.Env{},
 		SortBudget: e.cfg.SortBudget,
 		FaultHook:  e.cfg.FaultHook,
+		BatchSize:  e.cfg.BatchSize,
 		DOP:        e.cfg.DOP,
-	}
-	switch {
-	case e.cfg.BatchSize < 0:
-		ctx.RowMode = true
-	case e.cfg.BatchSize > 0:
-		ctx.BatchSize = e.cfg.BatchSize
 	}
 	return ctx, budget, nil
 }

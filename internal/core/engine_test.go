@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"xqdb/internal/exec"
 	"xqdb/internal/limit"
 	"xqdb/internal/opt"
 	"xqdb/internal/store"
@@ -186,6 +187,69 @@ func TestTimeout(t *testing.T) {
 	_, err = e.Query(`for $x in //x return for $y in //x return if ($x/text() = $y/text()) then <m/> else ()`)
 	if !errors.Is(err, limit.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
+	}
+}
+
+func TestNegativeBatchSizeRejected(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.LoadString(figure2); err != nil {
+		t.Fatal(err)
+	}
+	e := New(st, Config{Mode: ModeM4, BatchSize: -1})
+	if _, err := e.Query(`//name`); !errors.Is(err, ErrBatchSize) {
+		t.Fatalf("want ErrBatchSize, got %v", err)
+	}
+}
+
+// TestExistenceCheckEarlyOut pins what a nullary pass-fail relfor costs.
+// The consumer asks its root for one row, so an existence check stops
+// probing and rescanning at the first witness; only the outer side of a
+// loop join reads ahead, by at most one batch. The floors are the counters
+// of the row-at-a-time early-out this replaced.
+func TestExistenceCheckEarlyOut(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.LoadString(xmlgen.DBLP(xmlgen.DBLPConfig{Entries: 3000, Seed: 5, PhdFraction: 0.01})); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		phdAuthor     = `if (some $p in //phdthesis satisfies some $a in $p//author satisfies true()) then <yes/> else ()`
+		articleVolume = `if (some $x in //article satisfies some $v in $x/volume satisfies true()) then <yes/> else ()`
+	)
+	for _, tc := range []struct {
+		mode                     Mode
+		query                    string
+		probes, rescans, scanned int64
+	}{
+		{ModeM4, phdAuthor, 1, 0, 2},
+		{ModeM4, articleVolume, 0, 0, 1975},
+		{ModeM3, phdAuthor, 0, 1, 42377},
+		{ModeM3, articleVolume, 0, 6, 42184},
+	} {
+		e := New(st, Config{Mode: tc.mode})
+		res, err := e.Query(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != "<yes/>" {
+			t.Errorf("%s %s: got %q", tc.mode, tc.query, res)
+		}
+		c := e.Counters()
+		if c.IndexProbes > tc.probes || c.InnerRescans > tc.rescans {
+			t.Errorf("%s %s: probes=%d rescans=%d, want at most %d and %d",
+				tc.mode, tc.query, c.IndexProbes, c.InnerRescans, tc.probes, tc.rescans)
+		}
+		if max := tc.scanned + exec.DefaultBatchSize; c.RowsScanned > max {
+			t.Errorf("%s %s: scanned=%d, want at most %d (one batch of read-ahead)",
+				tc.mode, tc.query, c.RowsScanned, max)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ query:  for $b in //book return for $a in $b//author return $a
 -- physical plan (analyzed) --
 relfor ($b, $a)
   project π(B.in, A.in) [one-pass dedup]  (rows≈2 cost≈2)  (actual rows=4 opens=1 batches=1)
-  └─ structural-join B//A [stack merge, descendant axis, anc-ordered]  (rows≈2 cost≈2)  (actual rows=4 opens=1 stack=1)
+  └─ structural-join B//A [stack merge, descendant axis, anc-ordered]  (rows≈2 cost≈2)  (actual rows=4 opens=1 batches=1 stack=1)
      ├─ exchange [dop=2 morsels=8]  (rows≈3 cost≈1)  (actual rows=3 opens=1 batches=3)
      │  └─ scan B: full scan σ(B.in > 1 ∧ B.type = elem ∧ B.value = book)  (rows≈3 cost≈1)  (actual rows=3 opens=8 batches=3 sel=0.10)
      └─ exchange [dop=2 morsels=8]  (rows≈4 cost≈1)  (actual rows=4 opens=1 batches=4)
@@ -47,7 +47,7 @@ relfor ($b, $a)
 
 counters: scanned=58 joined=0 structural=4 twig=0 emitted=4
           probes=0 rescans=0 sorted=0 spilled=0 stack-max=1 list-max=0 path-solutions=0
-          spill-bytes=0 spill-runs=0 batches=15
+          spill-bytes=0 spill-runs=0 batches=16
 result: 80 bytes
 `
 	for i := 0; i < 3; i++ {

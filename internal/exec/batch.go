@@ -1,8 +1,9 @@
-// Batch-at-a-time execution. Operators that can, exchange row batches —
-// columnar slabs of up to ~1k vartuple slots — instead of single rows, so
-// the per-row virtual Next call, budget poll, and row copy disappear from
-// the hot loops. Operators that cannot run through a row-at-a-time adapter,
-// which keeps the batched and row engines byte-equivalent by construction.
+// Batch-at-a-time execution. NextBatch is the one contract between
+// operators: every iterator fills row batches — columnar slabs of up to
+// ~1k vartuple slots — so the per-row virtual call, budget poll, and row
+// copy stay out of the hot loops. Consumers that want single rows (the
+// relfor binding loop, the outer side of a loop join) walk batches through
+// a rowView.
 
 package exec
 
@@ -15,7 +16,7 @@ const DefaultBatchSize = 1024
 // XASR tuples per row slot, all columns the same length. A producer may
 // repoint Cols at its internal storage, so a batch's contents are only
 // valid until the next NextBatch or Close on its producer; consumers that
-// retain rows copy them (exactly the row-iterator contract, batch-sized).
+// retain rows copy them.
 type Batch struct {
 	// Cols holds one column per row slot; every column has n entries.
 	Cols [][]xasr.Tuple
@@ -23,27 +24,35 @@ type Batch struct {
 	// (into Cols) that survived a filter, in order. nil selects all n
 	// rows. Filtering sets Sel instead of compacting, so no rows move.
 	Sel []int32
+	// limit, when positive, is the consumer's bound on the rows it wants
+	// from the next NextBatch: an existence check asks for one row, an
+	// index probe for what still fits its own output. Operators that fill
+	// the batch themselves honor it through reset; the exchange gather,
+	// which forwards worker batches whole, may return more.
+	limit int
 	// n is the physical row count.
 	n int
 }
 
-// reset prepares b to be filled with up to capRows rows of the given slot
-// count, reusing existing capacity.
-func (b *Batch) reset(slots, capRows int) {
+// reset empties b for refilling with rows of the given slot count, keeping
+// the columns' backing arrays, and returns the row capacity the producer
+// may fill: the context's batch capacity, lowered to the consumer's limit.
+func (b *Batch) reset(ctx *Ctx, slots int) int {
 	if cap(b.Cols) < slots {
 		b.Cols = make([][]xasr.Tuple, slots)
 	} else {
 		b.Cols = b.Cols[:slots]
 	}
 	for i := range b.Cols {
-		if cap(b.Cols[i]) < capRows {
-			b.Cols[i] = make([]xasr.Tuple, 0, capRows)
-		} else {
-			b.Cols[i] = b.Cols[i][:0]
-		}
+		b.Cols[i] = b.Cols[i][:0]
 	}
 	b.Sel = nil
 	b.n = 0
+	capRows := ctx.batchCap()
+	if b.limit > 0 && b.limit < capRows {
+		capRows = b.limit
+	}
+	return capRows
 }
 
 // Len returns the logical row count: the selected rows when a selection
@@ -86,57 +95,36 @@ func (b *Batch) appendRow(row Row) {
 	b.n++
 }
 
-// batchIter is the vectorized iterator contract. NextBatch fills b with up
-// to Ctx.batchCap() rows and returns the logical row count; 0 means the
-// stream is exhausted (producers with residual predicates keep pulling
-// until at least one row qualifies or their input ends, so a zero count
-// never merely means "everything in this batch was filtered out").
+// appendRowCopy appends a copy of row to rows, reusing the backing array a
+// previously truncated slot left behind — for the operators that retain
+// rows across batches (join blocks, ancestor stacks).
+func appendRowCopy(rows []Row, row Row) []Row {
+	n := len(rows)
+	if n < cap(rows) {
+		rows = rows[:n+1]
+	} else {
+		rows = append(rows, nil)
+	}
+	rows[n] = append(rows[n][:0], row...)
+	return rows
+}
+
+// batchIter is the pull contract between operators. NextBatch fills b with
+// up to the capacity b.reset reports and returns the logical row count; 0
+// means the stream is exhausted (producers with residual predicates keep
+// pulling until at least one row qualifies or their input ends, so a zero
+// count never merely means "everything in this batch was filtered out"),
+// and further calls keep returning 0. The batch's contents are valid until
+// the next NextBatch or Close.
 type batchIter interface {
-	rowIter
 	NextBatch(b *Batch) (int, error)
+	Close() error
 }
 
-// rowBatchAdapter lifts a row-at-a-time iterator to the batch contract by
-// copying rows into the batch. It is the compatibility path for operators
-// without a native NextBatch and the whole engine's path in RowMode.
-type rowBatchAdapter struct {
-	ctx   *Ctx
-	it    rowIter
-	slots int
-}
-
-func (a *rowBatchAdapter) Next() (Row, bool, error) { return a.it.Next() }
-func (a *rowBatchAdapter) Close() error             { return a.it.Close() }
-
-func (a *rowBatchAdapter) NextBatch(b *Batch) (int, error) {
-	capRows := a.ctx.batchCap()
-	b.reset(a.slots, capRows)
-	for b.n < capRows {
-		row, ok, err := a.it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		b.appendRow(row)
-	}
-	return b.n, nil
-}
-
-// asBatch returns it's native batch implementation when it has one, or
-// wraps it in the row adapter. RowMode always takes the adapter (plus
-// single-row batches via batchCap), reproducing the row engine exactly.
-func asBatch(ctx *Ctx, it rowIter, slots int) batchIter {
-	if bi, ok := it.(batchIter); ok && !ctx.RowMode {
-		return bi
-	}
-	return &rowBatchAdapter{ctx: ctx, it: it, slots: slots}
-}
-
-// rowView serves the row-at-a-time contract on top of a batched producer,
-// for consumers (relfor, sort fills, spools) that want single rows but
-// should still drive the producer's batched fast path.
+// rowView walks a batched producer row by row, for the consumers that bind
+// or probe per row: the relfor binding loop, the outer side of the loop
+// joins, and the ancestor side of the structural merges. A returned Row is
+// valid until the next call.
 type rowView struct {
 	src batchIter
 	b   Batch
@@ -170,7 +158,6 @@ func (v *rowView) next() (Row, bool, error) {
 // first from the buffered batch (binary search — in-order streams are
 // In-sorted within a batch) and only then from the underlying cursor.
 type batchStream struct {
-	ctx    *Ctx
 	src    batchIter
 	seek   inSeeker
 	inSlot int
@@ -180,11 +167,9 @@ type batchStream struct {
 	rbuf   Row
 }
 
-func newBatchStream(ctx *Ctx, it rowIter, slots, inSlot int) *batchStream {
-	s := &batchStream{ctx: ctx, src: asBatch(ctx, it, slots), inSlot: inSlot}
-	if sk, ok := it.(inSeeker); ok {
-		s.seek = sk
-	}
+func newBatchStream(it batchIter, inSlot int) *batchStream {
+	s := &batchStream{src: it, inSlot: inSlot}
+	s.seek, _ = it.(inSeeker)
 	return s
 }
 

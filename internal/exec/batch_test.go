@@ -6,40 +6,10 @@ import (
 	"time"
 
 	"xqdb/internal/limit"
+	"xqdb/internal/naive"
 	"xqdb/internal/tpm"
 	"xqdb/internal/xasr"
 )
-
-// drainBatches pulls a plan to exhaustion through the batch contract,
-// copying rows out (batch contents are only valid until the next
-// NextBatch call).
-func drainBatches(t *testing.T, ctx *Ctx, n PlanNode) []Row {
-	t.Helper()
-	it, err := n.open(ctx, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	slots := len(n.Schema().Aliases)
-	bi := asBatch(ctx, it, slots)
-	var rows []Row
-	var b Batch
-	for {
-		k, err := bi.NextBatch(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			return rows
-		}
-		if b.Len() != k {
-			t.Fatalf("NextBatch returned %d but Len() is %d", k, b.Len())
-		}
-		for i := 0; i < k; i++ {
-			rows = append(rows, append(Row(nil), b.row(i, nil)...))
-		}
-	}
-}
 
 func sameRows(t *testing.T, label string, got, want []Row) {
 	t.Helper()
@@ -58,127 +28,220 @@ func sameRows(t *testing.T, label string, got, want []Row) {
 	}
 }
 
-// TestScanNextBatchMatchesNext drains the same scans through both sides
-// of the iterator contract: the native NextBatch fill must produce
-// exactly the row sequence of Next, residual predicates included.
-func TestScanNextBatchMatchesNext(t *testing.T) {
-	doc := deepNestedDoc(8, 5)
-	plans := map[string]PlanNode{
-		"full":  NewScan("R", Access{Kind: AccessFull}, nil),
-		"label": labelScan("B", "b"),
-		"filtered": NewScan("B", Access{Kind: AccessLabel, Type: xasr.TypeElem, Value: "b"},
-			[]tpm.Cmp{tpm.Gt(tpm.AttrOp("B", tpm.ColIn), tpm.InOp(10))}),
-	}
-	for name, plan := range plans {
-		want := drain(t, testCtx(t, doc), plan)
-		got := drainBatches(t, testCtx(t, doc), plan)
-		sameRows(t, "scan/"+name, got, want)
+// descConds is the A//B containment as a plain conjunction, for the loop
+// joins that evaluate it per pair.
+func descConds() []tpm.Cmp {
+	return []tpm.Cmp{
+		tpm.Gt(tpm.AttrOp("B", tpm.ColIn), tpm.AttrOp("A", tpm.ColIn)),
+		tpm.Lt(tpm.AttrOp("B", tpm.ColOut), tpm.AttrOp("A", tpm.ColOut)),
 	}
 }
 
-// TestRowBatchAdapterRoundTrip forces the compatibility adapter (RowMode)
-// over a filtered scan and checks it reproduces the row engine exactly,
-// one row per batch.
-func TestRowBatchAdapterRoundTrip(t *testing.T) {
-	doc := deepNestedDoc(6, 4)
-	plan := NewScan("B", Access{Kind: AccessLabel, Type: xasr.TypeElem, Value: "b"},
-		[]tpm.Cmp{tpm.Gt(tpm.AttrOp("B", tpm.ColIn), tpm.InOp(7))})
-	want := drain(t, testCtx(t, doc), plan)
-
-	ctx := testCtx(t, doc)
-	ctx.RowMode = true
-	if cap := ctx.batchCap(); cap != 1 {
-		t.Fatalf("RowMode batchCap = %d, want 1", cap)
-	}
-	it, err := plan.open(ctx, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	bi := asBatch(ctx, it, len(plan.Schema().Aliases))
-	if _, native := bi.(*rowBatchAdapter); !native {
-		t.Fatalf("RowMode must route through the row adapter, got %T", bi)
-	}
-	var rows []Row
-	var b Batch
-	for {
-		k, err := bi.NextBatch(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			break
-		}
-		if k != 1 {
-			t.Fatalf("RowMode batch carried %d rows, want 1", k)
-		}
-		rows = append(rows, append(Row(nil), b.row(0, nil)...))
-	}
-	sameRows(t, "adapter", rows, want)
+// descProbe is the B scan of an A//B index nested-loops join: a label
+// range bounded by the outer A row's interval.
+func descProbe() *Scan {
+	return NewScan("B", Access{
+		Kind: AccessLabel, Type: xasr.TypeElem, Value: "b",
+		Bounded: true, Lo: tpm.AttrOp("A", tpm.ColIn), LoAdd: 1, Hi: tpm.AttrOp("A", tpm.ColOut),
+	}, nil)
 }
 
-// TestBatchSizeEquivalence replays a structural join under every batch
-// capacity class — tiny, prime, default — plus the row adapter, and
-// requires byte-identical row sequences. Capacity must never be
-// observable in results.
+// Two queries every operator kind can answer over deepNestedDoc: all
+// (a, b) pairs in hierarchical order, and the distinct a's that have a b
+// below them. The naive evaluator's answers are the reference.
+const (
+	pairsQuery    = `for $a in //a return for $b in $a//b return $b`
+	distinctQuery = `for $a in //a return if (some $b in $a//b satisfies true()) then $a else ()`
+)
+
+var pairsVars, distinctVars = []string{"a", "b"}, []string{"a"}
+
+// batchCases builds one plan per operator kind. Each plan's rows, bound to
+// vars and emitting the last one, answer query.
+var batchCases = []struct {
+	name   string
+	query  string
+	vars   []string
+	budget int // per-query memory quota and sort budget (0 = none)
+	plan   func(t *testing.T) PlanNode
+}{
+	{"nl", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		return NewNLJoin(labelScan("A", "a"), labelScan("B", "b"), descConds())
+	}},
+	{"bnl-block1", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		return NewBNLJoin(labelScan("A", "a"), labelScan("B", "b"), descConds(), 1)
+	}},
+	{"bnl-block5+sort", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		bnl := NewBNLJoin(labelScan("A", "a"), labelScan("B", "b"), descConds(), 5)
+		return NewSort(bnl, []string{"A", "B"}, false)
+	}},
+	{"inl", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		return NewINLJoin(labelScan("A", "a"), descProbe(), nil)
+	}},
+	{"sort-dedup", distinctQuery, distinctVars, 0, func(*testing.T) PlanNode {
+		bnl := NewBNLJoin(labelScan("A", "a"), labelScan("B", "b"), descConds(), 5)
+		return NewSort(NewProject(bnl, []string{"A"}, false), []string{"A"}, true)
+	}},
+	{"sort-spilled", pairsQuery, pairsVars, 4 << 10, func(*testing.T) PlanNode {
+		bnl := NewBNLJoin(labelScan("A", "a"), labelScan("B", "b"), descConds(), 5)
+		return NewSort(bnl, []string{"A", "B"}, false)
+	}},
+	// Every a has dozens of pairs, so each duplicate run straddles the
+	// boundaries of all the small capacities.
+	{"project-dedup", distinctQuery, distinctVars, 0, func(*testing.T) PlanNode {
+		return NewProject(NewINLJoin(labelScan("A", "a"), descProbe(), nil), []string{"A"}, true)
+	}},
+	{"filter", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		cross := NewNLJoin(labelScan("A", "a"), labelScan("B", "b"), nil)
+		return &Filter{Child: cross, Conds: descConds()}
+	}},
+	{"stack-tree-desc+sort", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		sj := NewStructuralJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
+		return NewSort(sj, []string{"A", "B"}, false)
+	}},
+	{"stack-tree-anc", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		return ancJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
+	}},
+	{"stack-tree-anc-spilled", pairsQuery, pairsVars, 8 << 10, func(*testing.T) PlanNode {
+		return ancJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
+	}},
+	{"twig", pairsQuery, pairsVars, 0, func(t *testing.T) PlanNode {
+		rels := []string{"A", "B"}
+		return buildTwig(t, []tpm.StructuralPred{descPred("A", "B")}, rels,
+			map[string]string{"A": "a", "B": "b"}, nil, rels)
+	}},
+	{"exchange-dop2", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
+		ea, eb := NewExchange(labelScan("A", "a"), 2), NewExchange(labelScan("B", "b"), 2)
+		ea.MorselRows, eb.MorselRows = 4, 16
+		return ancJoin(ea, eb, descPred("A", "B"), nil)
+	}},
+}
+
+// TestBatchSizeEquivalence replays every operator kind under every batch
+// capacity class — tiny, prime, default — and requires the row sequence of
+// the default capacity and the serialized answer of the naive evaluator at
+// each. Capacity must never be observable in results.
 func TestBatchSizeEquivalence(t *testing.T) {
 	doc := deepNestedDoc(12, 9)
-	plan := NewStructuralJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
-	want := drain(t, testCtx(t, doc), plan)
-	if len(want) == 0 {
-		t.Fatal("empty reference result — test document broken")
-	}
+	for _, tc := range batchCases {
+		t.Run(tc.name, func(t *testing.T) {
+			newCtx := func(size int) *Ctx {
+				ctx := testCtx(t, doc)
+				ctx.BatchSize = size
+				if tc.budget > 0 {
+					ctx.SortBudget = tc.budget
+					ctx.Budget = limit.NewBudget(tc.budget, nil)
+				}
+				return ctx
+			}
+			refCtx := newCtx(DefaultBatchSize)
+			wantRows := drain(t, refCtx, tc.plan(t))
+			if len(wantRows) == 0 {
+				t.Fatal("empty reference result — test document broken")
+			}
+			if tc.budget > 0 && refCtx.Counters.SpilledBytes == 0 {
+				t.Fatal("budgeted case never spilled")
+			}
+			wantXML, err := naive.New(refCtx.Store).EvalString(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{1, 2, 3, 7, DefaultBatchSize} {
+				sameRows(t, "rows", drain(t, newCtx(size), tc.plan(t)), wantRows)
 
-	for _, size := range []int{1, 2, 3, 7, DefaultBatchSize} {
-		ctx := testCtx(t, doc)
-		ctx.BatchSize = size
-		sameRows(t, "batch-size", drainBatches(t, ctx, plan), want)
+				ctx := newCtx(size)
+				emit := &XEmit{Var: tc.vars[len(tc.vars)-1]}
+				got, err := Run(ctx, &XRelFor{Vars: tc.vars, Root: tc.plan(t), Body: emit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != wantXML {
+					t.Errorf("batch size %d: answer differs from the naive evaluator (%d vs %d bytes)",
+						size, len(got), len(wantXML))
+				}
+				if u := ctx.Budget.InUse(); u != 0 {
+					t.Errorf("batch size %d: %d budget bytes still reserved", size, u)
+				}
+			}
+		})
 	}
-	ctx := testCtx(t, doc)
-	ctx.RowMode = true
-	sameRows(t, "row-mode", drainBatches(t, ctx, plan), want)
 }
 
-// TestBatchDeadlineAborts covers the per-batch poll: Budget.CheckN runs
-// once per batch instead of once per row, so an expired deadline must
-// still abort mid-stream — within roughly one batch of work, not after
-// the join completes — and Close must leak no pins, temp files, or
-// budget reservations.
+// TestBatchDeadlineAborts covers the per-batch poll for every producer:
+// budget checks run per batch or per merge step instead of per row, so an
+// expired deadline must still abort mid-stream — within roughly one batch
+// of work, not after the operator completes — and Close must leak no pins,
+// temp files, or budget reservations.
 func TestBatchDeadlineAborts(t *testing.T) {
-	ctx := tinyCtx(t, deepNestedDoc(120, 60), 4<<10, limit.After(time.Millisecond))
-	join := NewStructuralJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
-	it, err := join.open(ctx, nil, nil)
-	if err == nil {
-		bi := asBatch(ctx, it, len(join.Schema().Aliases))
-		start := time.Now()
-		var b Batch
-		for {
-			k, nerr := bi.NextBatch(&b)
-			if nerr != nil {
-				err = nerr
-				break
+	doc := deepNestedDoc(120, 60)
+	for _, tc := range batchCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := tinyCtx(t, doc, 4<<10, limit.After(time.Millisecond))
+			start := time.Now()
+			it, err := tc.plan(t).open(ctx, nil, nil)
+			if err == nil {
+				var b Batch
+				for {
+					k, nerr := it.NextBatch(&b)
+					if nerr != nil {
+						err = nerr
+						break
+					}
+					if k == 0 {
+						break
+					}
+				}
+				if cerr := it.Close(); cerr != nil {
+					t.Errorf("close after abort: %v", cerr)
+				}
 			}
-			if k == 0 {
-				break
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("deadline abort took %v — per-batch polling too coarse", elapsed)
 			}
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Errorf("deadline abort took %v — per-batch polling too coarse", elapsed)
-		}
-		if cerr := it.Close(); cerr != nil {
-			t.Errorf("close after abort: %v", cerr)
-		}
+			if !errors.Is(err, limit.ErrTimeout) {
+				t.Fatalf("finished with %v, want %v", err, limit.ErrTimeout)
+			}
+			checkNoLeaks(t, ctx)
+		})
 	}
-	if !errors.Is(err, limit.ErrTimeout) {
-		t.Fatalf("batched join finished with %v, want %v", err, limit.ErrTimeout)
+}
+
+// TestBatchEarlyCloseReleasesEverything abandons every producer after its
+// first batch — spools, sort runs, spilled lists and probes still open —
+// and requires Close to remove and release all of it.
+func TestBatchEarlyCloseReleasesEverything(t *testing.T) {
+	doc := deepNestedDoc(60, 40)
+	for _, tc := range batchCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testCtx(t, doc)
+			ctx.BatchSize = 7
+			ctx.SortBudget = 4 << 10
+			ctx.Budget = limit.NewBudget(1<<20, nil)
+			it, err := tc.plan(t).open(ctx, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b Batch
+			if k, err := it.NextBatch(&b); err != nil || k == 0 {
+				t.Fatalf("first batch: k=%d err=%v", k, err)
+			}
+			if err := it.Close(); err != nil {
+				t.Fatalf("early close: %v", err)
+			}
+			checkNoLeaks(t, ctx)
+		})
 	}
+}
+
+func checkNoLeaks(t *testing.T, ctx *Ctx) {
+	t.Helper()
 	if n := tempFileCount(t, ctx); n != 0 {
-		t.Errorf("deadline abort leaked %d temp files", n)
+		t.Errorf("leaked %d temp files", n)
 	}
 	if u := ctx.Budget.InUse(); u != 0 {
-		t.Errorf("deadline abort leaked %d budget bytes", u)
+		t.Errorf("leaked %d budget bytes", u)
 	}
 	if p := ctx.Store.PinnedPages(); p != 0 {
-		t.Errorf("deadline abort leaked %d pinned pages", p)
+		t.Errorf("leaked %d pinned pages", p)
 	}
 }

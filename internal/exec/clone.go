@@ -47,9 +47,6 @@ func cloneNode(n PlanNode) PlanNode {
 		return &Filter{Child: cloneNode(n.Child), Conds: n.Conds, Est_: n.Est_}
 	case *NLJoin:
 		return &NLJoin{Left: cloneNode(n.Left), Right: cloneNode(n.Right),
-			Conds: n.Conds, Est_: n.Est_, schema: n.schema}
-	case *BNLJoin:
-		return &BNLJoin{Left: cloneNode(n.Left), Right: cloneNode(n.Right),
 			Conds: n.Conds, BlockRows: n.BlockRows, Est_: n.Est_, schema: n.schema}
 	case *INLJoin:
 		return &INLJoin{Left: cloneNode(n.Left), Inner: cloneScan(n.Inner),

@@ -53,8 +53,8 @@ func exchangeBytes(dop, capRows int) int {
 // Exchange runs its child scan in parallel on DOP workers and merges the
 // per-worker batch streams back into document order. It degrades to a
 // plain child open — same results, no workers — whenever parallelism is
-// unavailable: row mode, an INL-parameterized open, a range too small to
-// split, or a memory budget too tight for the in-flight batches.
+// unavailable: an INL-parameterized open, a range too small to split, or
+// a memory budget too tight for the in-flight batches.
 type Exchange struct {
 	Child *Scan
 	// DOP is the planned worker count (the runtime Ctx.DOP may cap it).
@@ -122,12 +122,12 @@ func (e *Exchange) Describe() string {
 // deterministic.
 func (e *Exchange) WorkerBatches() []int64 { return e.workerBatches }
 
-func (e *Exchange) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (e *Exchange) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	dop := e.DOP
 	if ctx.DOP > 0 && ctx.DOP < dop {
 		dop = ctx.DOP
 	}
-	if outer != nil || ctx.RowMode || dop < 2 {
+	if outer != nil || dop < 2 {
 		e.stats.Opens++
 		return e.Child.open(ctx, outer, outerSchema)
 	}
@@ -277,10 +277,6 @@ type exchangeIter struct {
 	cur    *Batch // batch currently exposed to the consumer
 	err    error  // sticky
 	closed bool
-
-	// Row-at-a-time view for rowIter consumers.
-	rb   Batch
-	rpos int
 }
 
 func (g *exchangeIter) getBatch() *Batch {
@@ -330,10 +326,9 @@ func (g *exchangeIter) runMorsel(w *exWorker, iv store.Interval) bool {
 		g.send(w.id, exMsg{err: err})
 		return false
 	}
-	src := asBatch(w.ctx, it, 1)
 	for {
 		b := g.getBatch()
-		n, err := src.NextBatch(b)
+		n, err := it.NextBatch(b)
 		if err != nil {
 			g.putBatch(b)
 			it.Close()
@@ -441,27 +436,7 @@ func (g *exchangeIter) NextBatch(b *Batch) (int, error) {
 	b.Cols = win.Cols
 	b.Sel = win.Sel
 	b.n = win.n
-	n := win.Len()
-	g.e.stats.Rows += int64(n)
-	g.e.stats.Batches++
-	g.ctx.Counters.Batches++
-	return n, nil
-}
-
-func (g *exchangeIter) Next() (Row, bool, error) {
-	for g.rpos >= g.rb.Len() {
-		n, err := g.NextBatch(&g.rb)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		g.rpos = 0
-	}
-	row := g.rb.row(g.rpos, nil)
-	g.rpos++
-	return row, true, nil
+	return g.ctx.produced(&g.e.stats, win.Len()), nil
 }
 
 // shutdown stops the pool exactly once: wake any worker blocked on a send,

@@ -81,12 +81,12 @@ func TestExchangeMatchesSerialScan(t *testing.T) {
 func TestExchangeBatchContract(t *testing.T) {
 	doc := exchangeDoc(300)
 	sctx := testCtx(t, doc)
-	want := drainBatches(t, sctx, labelScan("A", "a"))
+	want := drain(t, sctx, labelScan("A", "a"))
 
 	pctx := testCtx(t, doc)
 	ex := NewExchange(labelScan("A", "a"), 3)
 	ex.MorselRows = 8
-	got := drainBatches(t, pctx, ex)
+	got := drain(t, pctx, ex)
 	if !rowsEqual(got, want) {
 		t.Fatalf("batched parallel scan diverged: %d rows vs %d serial", len(got), len(want))
 	}
@@ -125,18 +125,6 @@ func TestExchangeUnderStructuralJoin(t *testing.T) {
 
 func TestExchangeSerialFallbacks(t *testing.T) {
 	doc := exchangeDoc(200)
-
-	// Row mode keeps the faithful row engine serial.
-	rctx := testCtx(t, doc)
-	rctx.RowMode = true
-	ex := NewExchange(labelScan("A", "a"), 4)
-	ex.MorselRows = 8
-	if got := len(drain(t, rctx, ex)); got != 200 {
-		t.Fatalf("row-mode fallback rows = %d, want 200", got)
-	}
-	if ex.morsels != 0 {
-		t.Errorf("row mode must not spawn workers (morsels=%d)", ex.morsels)
-	}
 
 	// Ctx.DOP=1 caps a planned exchange to serial at runtime.
 	cctx := testCtx(t, doc)
@@ -194,22 +182,23 @@ func TestExchangeCancelMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pull a few rows, then cancel: the next polls must surface
+	// Pull a few batches, then cancel: the next polls must surface
 	// limit.ErrCanceled and the pool must unwind without leaks.
-	for i := 0; i < 5; i++ {
-		if _, ok, err := it.Next(); err != nil || !ok {
-			t.Fatalf("warmup next: ok=%v err=%v", ok, err)
+	var b Batch
+	for i := 0; i < 2; i++ {
+		if n, err := it.NextBatch(&b); err != nil || n == 0 {
+			t.Fatalf("warmup batch: n=%d err=%v", n, err)
 		}
 	}
 	ctx.Budget.Cancel()
 	var got error
 	for i := 0; i < 100000; i++ {
-		_, ok, err := it.Next()
+		n, err := it.NextBatch(&b)
 		if err != nil {
 			got = err
 			break
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 	}
@@ -239,8 +228,9 @@ func TestExchangeEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first next: ok=%v err=%v", ok, err)
+	var b Batch
+	if n, err := it.NextBatch(&b); err != nil || n == 0 {
+		t.Fatalf("first batch: n=%d err=%v", n, err)
 	}
 	// Abandon the stream with workers still running and batches in flight.
 	if err := it.Close(); err != nil {

@@ -28,6 +28,8 @@ func testCtx(t testing.TB, doc string) *Ctx {
 	return &Ctx{Store: st, TempDir: tmp, Env: Env{}}
 }
 
+// drain pulls a plan to exhaustion, copying rows out (batch contents are
+// only valid until the next NextBatch call).
 func drain(t *testing.T, ctx *Ctx, n PlanNode) []Row {
 	t.Helper()
 	it, err := n.open(ctx, nil, nil)
@@ -36,15 +38,24 @@ func drain(t *testing.T, ctx *Ctx, n PlanNode) []Row {
 	}
 	defer it.Close()
 	var rows []Row
+	var b Batch
 	for {
-		row, ok, err := it.Next()
+		k, err := it.NextBatch(&b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if k == 0 {
 			return rows
 		}
-		rows = append(rows, append(Row(nil), row...))
+		if b.Len() != k {
+			t.Fatalf("NextBatch returned %d but Len() is %d", k, b.Len())
+		}
+		if max := ctx.batchCap(); k > max {
+			t.Fatalf("NextBatch returned %d rows at capacity %d", k, max)
+		}
+		for i := 0; i < k; i++ {
+			rows = append(rows, append(Row(nil), b.row(i, nil)...))
+		}
 	}
 }
 

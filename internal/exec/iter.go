@@ -24,23 +24,16 @@ type PlanNode interface {
 	Estimate() Est
 	// Stats returns the operator's runtime tallies (EXPLAIN ANALYZE).
 	Stats() *OpStats
-	// open returns a row iterator; outer/outerSchema are non-nil only for
-	// the parameterized inner side of an index nested-loops join.
-	open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error)
+	// open returns the operator's batch iterator; outer/outerSchema are
+	// non-nil only for the parameterized inner side of an index
+	// nested-loops join.
+	open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error)
 }
 
 // Est holds optimizer estimates, attached to nodes for EXPLAIN output.
 type Est struct {
 	Rows float64
 	Cost float64
-}
-
-// rowIter is the pull interface between operators. A returned Row is only
-// valid until the next Next or Close call — iterators reuse their backing
-// storage — so consumers that retain rows across calls must copy them.
-type rowIter interface {
-	Next() (Row, bool, error)
-	Close() error
 }
 
 // ---------------------------------------------------------------- access
@@ -117,6 +110,10 @@ type Scan struct {
 	schema *Schema
 	stats  OpStats
 	cc     compiledConds
+	// lbuf is the label-entry scratch a label scan expands into tuples;
+	// like cc it lives on the node so an INL inner, reopened per outer row,
+	// allocates it once.
+	lbuf []store.LabelEntry
 }
 
 // NewScan builds a scan node.
@@ -156,7 +153,7 @@ func condsString(conds []tpm.Cmp) string {
 	return b.String()
 }
 
-func (s *Scan) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (s *Scan) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	var lo, hi uint32
 	if s.Access.Bounded {
 		v, err := resolveIn(s.Access.Lo, outer, outerSchema, ctx.Env)
@@ -220,8 +217,8 @@ func (s *Scan) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
 
 type emptyIter struct{}
 
-func (emptyIter) Next() (Row, bool, error) { return nil, false, nil }
-func (emptyIter) Close() error             { return nil }
+func (emptyIter) NextBatch(*Batch) (int, error) { return 0, nil }
+func (emptyIter) Close() error                  { return nil }
 
 type scanIter struct {
 	ctx   *Ctx
@@ -229,52 +226,16 @@ type scanIter struct {
 	prim  *store.TupleCursor
 	label *store.LabelRangeCursor
 	child *store.ChildCursor
-	// rowbuf backs every Row this iterator returns (see rowIter contract).
-	rowbuf [1]xasr.Tuple
-	// lbuf is the label-entry scratch NextBatch expands into tuples.
-	lbuf []store.LabelEntry
+	// fill is the row count the last NextBatch asked the cursor for.
+	fill int
 }
 
-func (it *scanIter) Next() (Row, bool, error) {
-	for {
-		if err := it.ctx.check(); err != nil {
-			return nil, false, err
-		}
-		var t xasr.Tuple
-		var ok bool
-		var err error
-		switch {
-		case it.prim != nil:
-			t, ok, err = it.prim.Next()
-		case it.label != nil:
-			var e store.LabelEntry
-			e, ok, err = it.label.Next()
-			if ok {
-				t = xasr.Tuple{In: e.In, Out: e.Out, ParentIn: e.ParentIn,
-					Type: it.scan.Access.Type, Value: it.scan.Access.Value}
-			}
-		case it.child != nil:
-			t, ok, err = it.child.Next()
-		}
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.ctx.Counters.RowsScanned++
-		it.rowbuf[0] = t
-		row := Row(it.rowbuf[:])
-		if len(it.scan.Conds) > 0 {
-			it.scan.stats.SelRows++
-		}
-		pass, err := it.scan.cc.eval(row, it.ctx.Env)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			it.scan.stats.Rows++
-			return row, true, nil
-		}
-	}
-}
+// scanFirstFill is the size of a scan's first batch. Fills double from
+// there up to the batch capacity: most scans under an index probe or a
+// selective label return a handful of rows and should not pay for
+// full-capacity columns, while a long scan reaches capacity within a few
+// calls.
+const scanFirstFill = 64
 
 // NextBatch fills b straight from the store's leaf-at-a-time cursors: one
 // bulk copy per leaf, no per-row materialization, and one budget poll per
@@ -282,8 +243,12 @@ func (it *scanIter) Next() (Row, bool, error) {
 // keeps pulling until at least one row qualifies, so a zero return always
 // means the range is exhausted.
 func (it *scanIter) NextBatch(b *Batch) (int, error) {
-	capRows := it.ctx.batchCap()
-	b.reset(1, capRows)
+	capRows := b.reset(it.ctx, 1)
+	it.fill = min(max(2*it.fill, scanFirstFill), capRows)
+	capRows = it.fill
+	if cap(b.Cols[0]) < capRows {
+		b.Cols[0] = make([]xasr.Tuple, capRows)
+	}
 	conds := it.scan.Conds
 	for {
 		col := b.Cols[0][:capRows]
@@ -293,10 +258,10 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 		case it.prim != nil:
 			n, err = it.prim.NextBatch(col)
 		case it.label != nil:
-			if cap(it.lbuf) < capRows {
-				it.lbuf = make([]store.LabelEntry, capRows)
+			if cap(it.scan.lbuf) < capRows {
+				it.scan.lbuf = make([]store.LabelEntry, capRows)
 			}
-			lb := it.lbuf[:capRows]
+			lb := it.scan.lbuf[:capRows]
 			n, err = it.label.NextBatch(lb)
 			for i := 0; i < n; i++ {
 				e := lb[i]
@@ -336,10 +301,7 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 		}
 		b.Cols[0] = col[:kept]
 		b.n = kept
-		it.scan.stats.Rows += int64(kept)
-		it.scan.stats.Batches++
-		it.ctx.Counters.Batches++
-		return kept, nil
+		return it.ctx.produced(&it.scan.stats, kept), nil
 	}
 }
 
@@ -402,7 +364,7 @@ func (f *Filter) Stats() *OpStats { return &f.stats }
 // Describe implements PlanNode.
 func (f *Filter) Describe() string { return fmt.Sprintf("filter σ(%s)", condsString(f.Conds)) }
 
-func (f *Filter) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (f *Filter) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	child, err := f.Child.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
@@ -412,36 +374,15 @@ func (f *Filter) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error)
 		child.Close()
 		return nil, err
 	}
-	it := &filterIter{ctx: ctx, f: f, child: child}
-	it.childB = asBatch(ctx, child, len(f.Schema().Aliases))
-	return it, nil
+	return &filterIter{ctx: ctx, f: f, child: child}, nil
 }
 
 type filterIter struct {
 	ctx    *Ctx
 	f      *Filter
-	child  rowIter
-	childB batchIter
+	child  batchIter
 	selbuf []int32
 	rbuf   Row
-}
-
-func (it *filterIter) Next() (Row, bool, error) {
-	for {
-		row, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.f.stats.SelRows++
-		pass, err := it.f.cc.eval(row, it.ctx.Env)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			it.f.stats.Rows++
-			return row, true, nil
-		}
-	}
 }
 
 // NextBatch evaluates the residual conjunction over a whole child batch
@@ -450,7 +391,7 @@ func (it *filterIter) Next() (Row, bool, error) {
 // qualifying row arrives or the child ends.
 func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	for {
-		n, err := it.childB.NextBatch(b)
+		n, err := it.child.NextBatch(b)
 		if err != nil {
 			return 0, err
 		}
@@ -477,10 +418,7 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 			continue
 		}
 		b.Sel = sel
-		it.f.stats.Rows += int64(len(sel))
-		it.f.stats.Batches++
-		it.ctx.Counters.Batches++
-		return len(sel), nil
+		return it.ctx.produced(&it.f.stats, len(sel)), nil
 	}
 }
 
@@ -508,13 +446,6 @@ func newSpool(ctx *Ctx, slots int) *spool {
 	buf := recfile.NewBoundedBuf(ctx.TempDir, "spool", ctx.softBudget(), ctx.Budget)
 	buf.SetHook(ctx.FaultHook)
 	return &spool{slots: slots, buf: buf}
-}
-
-func (sp *spool) add(ctx *Ctx, row Row) error {
-	sp.scratch = binary.AppendUvarint(sp.scratch[:0], 1)
-	sp.scratch = appendRow(sp.scratch, row)
-	sp.rows++
-	return sp.buf.Append(sp.scratch)
 }
 
 // addBatch appends a whole batch as one frame. rbuf is the caller-owned
@@ -554,12 +485,12 @@ func (sp *spool) finish(ctx *Ctx, stats *OpStats) error {
 }
 
 // replay returns an iterator over the spooled rows.
-func (sp *spool) replay() (*spoolIter, error) {
+func (sp *spool) replay(ctx *Ctx) (*spoolIter, error) {
 	it, err := sp.buf.Iter()
 	if err != nil {
 		return nil, err
 	}
-	return &spoolIter{sp: sp, it: it}, nil
+	return &spoolIter{ctx: ctx, it: it, rowbuf: make(Row, sp.slots)}, nil
 }
 
 // remove discards the spool's temp file (if any) and releases its memory
@@ -569,13 +500,13 @@ func (sp *spool) remove() {
 }
 
 type spoolIter struct {
-	sp     *spool
+	ctx    *Ctx
 	it     *recfile.BoundedIter
-	rowbuf Row // reused output buffer (see rowIter contract)
+	rowbuf Row // decode scratch, one slot per spooled column
 	// Current frame: raw record, its shared string conversion, decode
 	// offset, and rows left. One string allocation covers every row of
 	// the frame — the NL-join replay path decodes each inner row once
-	// per outer row, so this is the difference between one allocation
+	// per outer block, so this is the difference between one allocation
 	// per batch and one per joined pair.
 	rec       []byte
 	shared    string
@@ -583,46 +514,56 @@ type spoolIter struct {
 	remaining int
 }
 
-func (it *spoolIter) Next() (Row, bool, error) {
-	for it.remaining == 0 {
-		rec, err := it.it.Next()
-		if err == io.EOF {
-			return nil, false, nil
+func (it *spoolIter) NextBatch(b *Batch) (int, error) {
+	capRows := b.reset(it.ctx, len(it.rowbuf))
+	for b.n < capRows {
+		if it.remaining == 0 {
+			rec, err := it.it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return 0, err
+			}
+			cnt, n := binary.Uvarint(rec)
+			if n <= 0 {
+				return 0, fmt.Errorf("exec: corrupt spool frame")
+			}
+			it.rec = rec
+			it.shared = string(rec)
+			it.off = n
+			it.remaining = int(cnt)
+			continue
 		}
+		off, err := decodeRowAt(it.rowbuf, it.rec, it.shared, it.off)
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
-		cnt, n := binary.Uvarint(rec)
-		if n <= 0 {
-			return nil, false, fmt.Errorf("exec: corrupt spool frame")
-		}
-		it.rec = rec
-		it.shared = string(rec)
-		it.off = n
-		it.remaining = int(cnt)
+		it.off = off
+		it.remaining--
+		b.appendRow(it.rowbuf)
 	}
-	if it.rowbuf == nil {
-		it.rowbuf = make(Row, it.sp.slots)
-	}
-	off, err := decodeRowAt(it.rowbuf, it.rec, it.shared, it.off)
-	if err != nil {
-		return nil, false, err
-	}
-	it.off = off
-	it.remaining--
-	return it.rowbuf, true, nil
+	return b.n, nil
 }
 
 func (it *spoolIter) Close() error { return it.it.Close() }
 
 // ---------------------------------------------------------------- NL join
 
-// NLJoin is the order-preserving tuple nested-loops join: the inner input
-// is materialized once and replayed per outer row, so output order is the
-// lexicographic (outer, inner) order the relfor semantics requires.
+// NLJoin is the nested-loops join over a materialized inner: outer rows
+// are read in blocks and the spooled inner is replayed once per block.
+//
+// With BlockRows 0 it is the order-preserving tuple nested-loops join — a
+// block of one, so output order is the lexicographic (outer, inner) order
+// the relfor semantics requires. With BlockRows > 0 it is the block
+// nested-loops join, which is NOT order-preserving (within a block, output
+// order follows the inner) — exactly why the paper's order-conscious plans
+// avoid it; it exists for order strategy (a), where a final sort restores
+// order.
 type NLJoin struct {
 	Left, Right PlanNode
 	Conds       []tpm.Cmp
+	BlockRows   int
 	Est_        Est
 
 	schema *Schema
@@ -630,10 +571,20 @@ type NLJoin struct {
 	cc     compiledConds
 }
 
-// NewNLJoin builds a nested-loops join node.
+// NewNLJoin builds a tuple nested-loops join node.
 func NewNLJoin(left, right PlanNode, conds []tpm.Cmp) *NLJoin {
 	return &NLJoin{Left: left, Right: right, Conds: conds,
 		schema: left.Schema().Concat(right.Schema())}
+}
+
+// NewBNLJoin builds a block nested-loops join node.
+func NewBNLJoin(left, right PlanNode, conds []tpm.Cmp, blockRows int) *NLJoin {
+	if blockRows <= 0 {
+		blockRows = 1024
+	}
+	j := NewNLJoin(left, right, conds)
+	j.BlockRows = blockRows
+	return j
 }
 
 // Schema implements PlanNode.
@@ -650,10 +601,13 @@ func (j *NLJoin) Stats() *OpStats { return &j.stats }
 
 // Describe implements PlanNode.
 func (j *NLJoin) Describe() string {
-	return fmt.Sprintf("nl-join(%s) [materialized inner]", condsString(j.Conds))
+	if j.BlockRows == 0 {
+		return fmt.Sprintf("nl-join(%s) [materialized inner]", condsString(j.Conds))
+	}
+	return fmt.Sprintf("bnl-join(%s) [block %d, not order-preserving]", condsString(j.Conds), j.BlockRows)
 }
 
-func (j *NLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (j *NLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	left, err := j.Left.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
@@ -665,19 +619,18 @@ func (j *NLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error)
 		left.Close()
 		return nil, err
 	}
-	return &nlJoinIter{ctx: ctx, j: j, left: left, outer: outer, outerSchema: outerSchema}, nil
+	return &nlJoinIter{ctx: ctx, j: j, left: rowView{src: left}, outer: outer, outerSchema: outerSchema}, nil
 }
 
 // materializeInner spools the full inner input once. On error the spool's
 // temp file is removed and its reservations released before returning.
 func materializeInner(ctx *Ctx, inner PlanNode, outer Row, outerSchema *Schema, stats *OpStats) (*spool, error) {
-	rIt, err := inner.open(ctx, outer, outerSchema)
+	src, err := inner.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
 	}
-	defer rIt.Close()
+	defer src.Close()
 	sp := newSpool(ctx, len(inner.Schema().Aliases))
-	src := asBatch(ctx, rIt, sp.slots)
 	var in Batch
 	var rbuf Row
 	for {
@@ -705,65 +658,111 @@ func materializeInner(ctx *Ctx, inner PlanNode, outer Row, outerSchema *Schema, 
 	return sp, nil
 }
 
+// nlJoinIter pairs one block of outer rows with every row of the spooled
+// inner: inner rows drive the outer loop, block rows the inner one, and
+// emission resumes mid-block when the output batch fills.
 type nlJoinIter struct {
 	ctx         *Ctx
 	j           *NLJoin
-	left        rowIter
+	left        rowView
 	outer       Row
 	outerSchema *Schema
 	sp          *spool
-	lRow        Row
-	haveL       bool
-	inner       *spoolIter
-	joined      Row // reused output buffer (see rowIter contract)
+	// block holds copies of the current outer rows (the view reuses its
+	// buffers); the slots keep their backing arrays across blocks.
+	block []Row
+	// inner replays the spool for the current block (nil between blocks);
+	// in is its current batch of nIn rows, rPos the inner row being paired
+	// and bIdx the next block row to pair it with.
+	inner  *spoolIter
+	in     Batch
+	nIn    int
+	rPos   int
+	bIdx   int
+	rbuf   Row
+	joined Row
 }
 
-func (it *nlJoinIter) Next() (Row, bool, error) {
-	for {
-		if err := it.ctx.check(); err != nil {
-			return nil, false, err
+func (it *nlJoinIter) fillBlock() error {
+	want := max(it.j.BlockRows, 1)
+	it.block = it.block[:0]
+	for len(it.block) < want {
+		row, ok, err := it.left.next()
+		if err != nil {
+			return err
 		}
-		if !it.haveL {
-			row, ok, err := it.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
+		if !ok {
+			break
+		}
+		it.block = appendRowCopy(it.block, row)
+	}
+	return nil
+}
+
+func (it *nlJoinIter) NextBatch(out *Batch) (int, error) {
+	capRows := out.reset(it.ctx, len(it.j.schema.Aliases))
+	if err := it.ctx.check(); err != nil {
+		return 0, err
+	}
+	for out.n < capRows {
+		if it.inner == nil {
+			if err := it.fillBlock(); err != nil {
+				return 0, err
+			}
+			if len(it.block) == 0 {
+				break
 			}
 			if it.sp == nil {
 				sp, err := materializeInner(it.ctx, it.j.Right, it.outer, it.outerSchema, &it.j.stats)
 				if err != nil {
-					return nil, false, err
+					return 0, err
 				}
 				it.sp = sp
 			}
-			it.lRow = row
-			it.haveL = true
-			inner, err := it.sp.replay()
+			inner, err := it.sp.replay(it.ctx)
 			if err != nil {
-				return nil, false, err
+				return 0, err
 			}
 			it.inner = inner
 			it.ctx.Counters.InnerRescans++
 		}
-		rRow, ok, err := it.inner.Next()
-		if err != nil {
-			return nil, false, err
+		if it.rPos >= it.nIn {
+			n, err := it.inner.NextBatch(&it.in)
+			if err != nil {
+				return 0, err
+			}
+			it.nIn, it.rPos, it.bIdx = n, 0, 0
+			if n == 0 {
+				it.inner.Close()
+				it.inner = nil
+				continue
+			}
+			if err := it.ctx.checkN(n * len(it.block)); err != nil {
+				return 0, err
+			}
 		}
-		if !ok {
-			it.inner.Close()
-			it.haveL = false
-			continue
+		rRow := it.in.row(it.rPos, it.rbuf)
+		if len(it.in.Cols) > 1 {
+			it.rbuf = rRow
 		}
-		it.joined = append(append(it.joined[:0], it.lRow...), rRow...)
-		pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
-		if err != nil {
-			return nil, false, err
+		for it.bIdx < len(it.block) && out.n < capRows {
+			it.joined = append(append(it.joined[:0], it.block[it.bIdx]...), rRow...)
+			it.bIdx++
+			pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
+			if err != nil {
+				return 0, err
+			}
+			if pass {
+				out.appendRow(it.joined)
+			}
 		}
-		if pass {
-			it.ctx.Counters.RowsJoined++
-			it.j.stats.Rows++
-			return it.joined, true, nil
+		if it.bIdx == len(it.block) {
+			it.rPos++
+			it.bIdx = 0
 		}
 	}
+	it.ctx.Counters.RowsJoined += int64(out.n)
+	return it.ctx.produced(&it.j.stats, out.n), nil
 }
 
 func (it *nlJoinIter) Close() error {
@@ -773,171 +772,7 @@ func (it *nlJoinIter) Close() error {
 	if it.sp != nil {
 		it.sp.remove()
 	}
-	return it.left.Close()
-}
-
-// ---------------------------------------------------------------- BNL join
-
-// BNLJoin is the block nested-loops join: outer rows are read in blocks
-// and the materialized inner is scanned once per block instead of once per
-// row. It is NOT order-preserving (within a block, output order follows
-// the inner), which is exactly why the paper's order-conscious plans avoid
-// it; it exists for order strategy (a), where a final sort restores order.
-type BNLJoin struct {
-	Left, Right PlanNode
-	Conds       []tpm.Cmp
-	BlockRows   int
-	Est_        Est
-
-	schema *Schema
-	stats  OpStats
-	cc     compiledConds
-}
-
-// NewBNLJoin builds a block nested-loops join node.
-func NewBNLJoin(left, right PlanNode, conds []tpm.Cmp, blockRows int) *BNLJoin {
-	if blockRows <= 0 {
-		blockRows = 1024
-	}
-	return &BNLJoin{Left: left, Right: right, Conds: conds, BlockRows: blockRows,
-		schema: left.Schema().Concat(right.Schema())}
-}
-
-// Schema implements PlanNode.
-func (j *BNLJoin) Schema() *Schema { return j.schema }
-
-// Children implements PlanNode.
-func (j *BNLJoin) Children() []PlanNode { return []PlanNode{j.Left, j.Right} }
-
-// Estimate implements PlanNode.
-func (j *BNLJoin) Estimate() Est { return j.Est_ }
-
-// Stats implements PlanNode.
-func (j *BNLJoin) Stats() *OpStats { return &j.stats }
-
-// Describe implements PlanNode.
-func (j *BNLJoin) Describe() string {
-	return fmt.Sprintf("bnl-join(%s) [block %d, not order-preserving]", condsString(j.Conds), j.BlockRows)
-}
-
-func (j *BNLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
-	left, err := j.Left.open(ctx, outer, outerSchema)
-	if err != nil {
-		return nil, err
-	}
-	j.stats.Opens++
-	if err := j.cc.compile(j.Conds, j.schema); err != nil {
-		left.Close()
-		return nil, err
-	}
-	return &bnlJoinIter{ctx: ctx, j: j, left: left, outer: outer, outerSchema: outerSchema}, nil
-}
-
-type bnlJoinIter struct {
-	ctx         *Ctx
-	j           *BNLJoin
-	left        rowIter
-	outer       Row
-	outerSchema *Schema
-	sp          *spool
-	block       []Row
-	inner       *spoolIter
-	rRow        Row
-	haveR       bool
-	bIdx        int
-	done        bool
-	joined      Row // reused output buffer (see rowIter contract)
-}
-
-func (it *bnlJoinIter) fillBlock() error {
-	it.block = it.block[:0]
-	for len(it.block) < it.j.BlockRows {
-		row, ok, err := it.left.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		// Copy: the child iterator reuses its row buffer, and block rows
-		// outlive many child Next calls.
-		it.block = append(it.block, append(Row(nil), row...))
-	}
-	return nil
-}
-
-func (it *bnlJoinIter) Next() (Row, bool, error) {
-	for {
-		if err := it.ctx.check(); err != nil {
-			return nil, false, err
-		}
-		if it.done {
-			return nil, false, nil
-		}
-		if it.inner == nil {
-			if err := it.fillBlock(); err != nil {
-				return nil, false, err
-			}
-			if len(it.block) == 0 {
-				it.done = true
-				return nil, false, nil
-			}
-			if it.sp == nil {
-				sp, err := materializeInner(it.ctx, it.j.Right, it.outer, it.outerSchema, &it.j.stats)
-				if err != nil {
-					return nil, false, err
-				}
-				it.sp = sp
-			}
-			inner, err := it.sp.replay()
-			if err != nil {
-				return nil, false, err
-			}
-			it.inner = inner
-			it.ctx.Counters.InnerRescans++
-			it.haveR = false
-		}
-		if !it.haveR {
-			rRow, ok, err := it.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				it.inner.Close()
-				it.inner = nil
-				continue
-			}
-			// Copy: the spool iterator reuses its buffer.
-			it.rRow = append(it.rRow[:0], rRow...)
-			it.haveR = true
-			it.bIdx = 0
-		}
-		for it.bIdx < len(it.block) {
-			l := it.block[it.bIdx]
-			it.bIdx++
-			it.joined = append(append(it.joined[:0], l...), it.rRow...)
-			pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
-			if err != nil {
-				return nil, false, err
-			}
-			if pass {
-				it.ctx.Counters.RowsJoined++
-				it.j.stats.Rows++
-				return it.joined, true, nil
-			}
-		}
-		it.haveR = false
-	}
-}
-
-func (it *bnlJoinIter) Close() error {
-	if it.inner != nil {
-		it.inner.Close()
-	}
-	if it.sp != nil {
-		it.sp.remove()
-	}
-	return it.left.Close()
+	return it.left.src.Close()
 }
 
 // ---------------------------------------------------------------- INL join
@@ -985,7 +820,7 @@ func (j *INLJoin) Describe() string {
 	return d
 }
 
-func (j *INLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (j *INLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	if outer != nil {
 		// Nested INL: compose schemas so inner bounds can reference both.
 		return nil, fmt.Errorf("exec: INL join cannot itself be an INL inner")
@@ -999,63 +834,83 @@ func (j *INLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error
 		left.Close()
 		return nil, err
 	}
-	return &inlJoinIter{ctx: ctx, j: j, left: left}, nil
+	return &inlJoinIter{ctx: ctx, j: j, left: rowView{src: left}}, nil
 }
 
 type inlJoinIter struct {
-	ctx    *Ctx
-	j      *INLJoin
-	left   rowIter
-	lRow   Row
-	inner  rowIter
-	joined Row // reused output buffer (see rowIter contract)
+	ctx  *Ctx
+	j    *INLJoin
+	left rowView
+	lRow Row // current outer row (valid until the next left.next)
+	// inner is the open probe for lRow (nil between outer rows); in is its
+	// current batch of nIn rows, consumed up to rPos.
+	inner  batchIter
+	in     Batch
+	nIn    int
+	rPos   int
+	joined Row
 }
 
-func (it *inlJoinIter) Next() (Row, bool, error) {
-	for {
-		if err := it.ctx.check(); err != nil {
-			return nil, false, err
-		}
+// NextBatch probes outer row by outer row, but only as far as the output
+// batch has room: each probe's batch is bounded by the rows still wanted,
+// so a consumer asking for one row pays for one probe row, not for a
+// batch of probes.
+func (it *inlJoinIter) NextBatch(out *Batch) (int, error) {
+	capRows := out.reset(it.ctx, len(it.j.schema.Aliases))
+	for out.n < capRows {
 		if it.inner == nil {
-			row, ok, err := it.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
+			if err := it.ctx.check(); err != nil {
+				return 0, err
+			}
+			row, ok, err := it.left.next()
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				break
 			}
 			it.lRow = row
 			inner, err := it.j.Inner.open(it.ctx, row, it.j.Left.Schema())
 			if err != nil {
-				return nil, false, err
+				return 0, err
 			}
 			it.inner = inner
 			it.ctx.Counters.IndexProbes++
 		}
-		rRow, ok, err := it.inner.Next()
-		if err != nil {
-			return nil, false, err
+		if it.rPos >= it.nIn {
+			it.in.limit = capRows - out.n
+			n, err := it.inner.NextBatch(&it.in)
+			if err != nil {
+				return 0, err
+			}
+			it.nIn, it.rPos = n, 0
+			if n == 0 {
+				it.inner.Close()
+				it.inner = nil
+				continue
+			}
 		}
-		if !ok {
-			it.inner.Close()
-			it.inner = nil
-			continue
-		}
-		it.joined = append(append(it.joined[:0], it.lRow...), rRow...)
-		pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			it.ctx.Counters.RowsJoined++
-			it.j.stats.Rows++
-			return it.joined, true, nil
+		for it.rPos < it.nIn && out.n < capRows {
+			it.joined = append(append(it.joined[:0], it.lRow...), it.in.Cols[0][it.in.rowIdx(it.rPos)])
+			it.rPos++
+			pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
+			if err != nil {
+				return 0, err
+			}
+			if pass {
+				out.appendRow(it.joined)
+			}
 		}
 	}
+	it.ctx.Counters.RowsJoined += int64(out.n)
+	return it.ctx.produced(&it.j.stats, out.n), nil
 }
 
 func (it *inlJoinIter) Close() error {
 	if it.inner != nil {
 		it.inner.Close()
 	}
-	return it.left.Close()
+	return it.left.src.Close()
 }
 
 // ---------------------------------------------------------------- project
@@ -1113,69 +968,26 @@ func (p *Project) Describe() string {
 	return fmt.Sprintf("project π(%s)", b.String())
 }
 
-func (p *Project) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (p *Project) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	child, err := p.Child.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
 	}
 	p.stats.Opens++
-	it := &projectIter{ctx: ctx, p: p, child: child}
-	it.childB = asBatch(ctx, child, len(p.Child.Schema().Aliases))
-	return it, nil
+	return &projectIter{ctx: ctx, p: p, child: child}, nil
 }
 
 type projectIter struct {
-	ctx    *Ctx
-	p      *Project
-	child  rowIter
-	childB batchIter
-	// bufs double-buffers the output rows: the previously emitted row must
-	// stay intact for dedup comparison while the next candidate is built,
-	// so emissions alternate between the two (see rowIter contract).
-	bufs [2]Row
-	cur  int
-	prev Row
-	have bool
-	// Batch state: the child batch whose columns the output batch
-	// repoints, the dedup selection scratch, and the previously emitted
-	// keys (carried across batches).
+	ctx   *Ctx
+	p     *Project
+	child batchIter
+	// in is the child batch whose columns the output batch repoints;
+	// selbuf is the dedup selection scratch; prevIns holds the previously
+	// emitted keys once have is set (carried across batches).
 	in      Batch
 	selbuf  []int32
 	prevIns []uint32
-}
-
-func (it *projectIter) Next() (Row, bool, error) {
-	for {
-		row, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		out := it.bufs[it.cur]
-		if out == nil {
-			out = make(Row, len(it.p.slots))
-			it.bufs[it.cur] = out
-		}
-		for i, s := range it.p.slots {
-			out[i] = row[s]
-		}
-		if it.p.Dedup && it.have && sameBindings(it.prev, out) {
-			continue
-		}
-		it.prev = out
-		it.have = true
-		it.cur ^= 1
-		it.p.stats.Rows++
-		return out, true, nil
-	}
-}
-
-func sameBindings(a, b Row) bool {
-	for i := range a {
-		if a[i].In != b[i].In {
-			return false
-		}
-	}
-	return true
+	have    bool
 }
 
 // NextBatch repoints the output batch at the kept input columns — a
@@ -1185,7 +997,8 @@ func sameBindings(a, b Row) bool {
 func (it *projectIter) NextBatch(b *Batch) (int, error) {
 	slots := it.p.slots
 	for {
-		n, err := it.childB.NextBatch(&it.in)
+		it.in.limit = b.limit
+		n, err := it.child.NextBatch(&it.in)
 		if err != nil {
 			return 0, err
 		}
@@ -1235,10 +1048,7 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 			b.Sel = sel
 			out = len(sel)
 		}
-		it.p.stats.Rows += int64(out)
-		it.p.stats.Batches++
-		it.ctx.Counters.Batches++
-		return out, nil
+		return it.ctx.produced(&it.p.stats, out), nil
 	}
 }
 
@@ -1297,7 +1107,7 @@ func (s *Sort) Describe() string {
 	return fmt.Sprintf("sort [external, by %s]", b.String())
 }
 
-func (s *Sort) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (s *Sort) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	child, err := s.Child.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
@@ -1309,12 +1119,11 @@ func (s *Sort) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
 	}, ctx.SortBudget)
 	sorter.SetGovernor(ctx.Budget)
 	sorter.SetHook(ctx.FaultHook)
-	src := asBatch(ctx, child, len(s.Child.Schema().Aliases))
 	var in Batch
 	var rbuf Row
 	var rec []byte
 	for {
-		n, err := src.NextBatch(&in)
+		n, err := child.NextBatch(&in)
 		if err != nil {
 			sorter.Abort()
 			return nil, err
@@ -1358,7 +1167,7 @@ func (s *Sort) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
 	s.stats.SpilledBytes += st.Spilled
 	s.stats.SpillRuns += int64(st.Runs)
 	s.stats.Opens++
-	return &sortIter{ctx: ctx, s: s, it: it, keyLen: keyLen, slots: len(s.Schema().Aliases)}, nil
+	return &sortIter{ctx: ctx, s: s, it: it, keyLen: keyLen, rowbuf: make(Row, len(s.Schema().Aliases))}, nil
 }
 
 type sortIter struct {
@@ -1366,20 +1175,20 @@ type sortIter struct {
 	s       *Sort
 	it      *recfile.Iterator
 	keyLen  int
-	slots   int
 	prevKey []byte
 	have    bool
-	rowbuf  Row // reused output buffer (see rowIter contract)
+	rowbuf  Row // decode scratch
 }
 
-func (it *sortIter) Next() (Row, bool, error) {
-	for {
+func (it *sortIter) NextBatch(b *Batch) (int, error) {
+	capRows := b.reset(it.ctx, len(it.rowbuf))
+	for b.n < capRows {
 		rec, err := it.it.Next()
 		if err == io.EOF {
-			return nil, false, nil
+			break
 		}
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		key := rec[:it.keyLen]
 		if it.s.Dedup && it.have && bytes.Equal(key, it.prevKey) {
@@ -1387,15 +1196,12 @@ func (it *sortIter) Next() (Row, bool, error) {
 		}
 		it.prevKey = append(it.prevKey[:0], key...)
 		it.have = true
-		if it.rowbuf == nil {
-			it.rowbuf = make(Row, it.slots)
-		}
 		if err := decodeRowInto(it.rowbuf, rec[it.keyLen:]); err != nil {
-			return nil, false, err
+			return 0, err
 		}
-		it.s.stats.Rows++
-		return it.rowbuf, true, nil
+		b.appendRow(it.rowbuf)
 	}
+	return it.ctx.produced(&it.s.stats, b.n), nil
 }
 
 func (it *sortIter) Close() error { return it.it.Close() }

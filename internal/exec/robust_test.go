@@ -78,8 +78,9 @@ func TestTwigJoinEarlyCloseCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	var b Batch
+	if n, err := it.NextBatch(&b); err != nil || n == 0 {
+		t.Fatalf("first batch: n=%d err=%v", n, err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatalf("early close: %v", err)
@@ -107,11 +108,12 @@ func TestStructAncEarlyCloseCleansUp(t *testing.T) {
 	}
 	// Drain until the lists have spilled (bottom pairs stream out one per
 	// descendant, so plenty of the join remains), then close mid-stream.
+	b := Batch{limit: 1}
 	rows := 0
 	for ctx.Counters.SpilledTuples == 0 && rows < 500 {
-		_, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", rows, ok, err)
+		n, err := it.NextBatch(&b)
+		if err != nil || n == 0 {
+			t.Fatalf("row %d: n=%d err=%v", rows, n, err)
 		}
 		rows++
 	}
@@ -144,13 +146,14 @@ func TestTwigJoinDeadlineAborts(t *testing.T) {
 	it, err := j.open(ctx, nil, nil)
 	if err == nil {
 		start := time.Now()
+		var b Batch
 		for {
-			_, ok, nerr := it.Next()
+			n, nerr := it.NextBatch(&b)
 			if nerr != nil {
 				err = nerr
 				break
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
 		}
@@ -181,13 +184,14 @@ func TestStructAncDeadlineAborts(t *testing.T) {
 	join.AncOrder = true
 	it, err := join.open(ctx, nil, nil)
 	if err == nil {
+		var b Batch
 		for {
-			_, ok, nerr := it.Next()
+			n, nerr := it.NextBatch(&b)
 			if nerr != nil {
 				err = nerr
 				break
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
 		}

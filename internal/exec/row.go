@@ -1,9 +1,11 @@
 // Package exec implements the physical operators of milestones 3 and 4 in
 // the iterator model: scans (full, primary-range, label-index, parent-
 // index), selections, order-preserving nested-loops joins, block
-// nested-loops joins, index nested-loops joins, one-pass duplicate-
-// eliminating projections, external sort, and the relfor driver that
-// evaluates the structural part of a TPM plan against a store.
+// nested-loops joins, index nested-loops joins, structural merge and
+// holistic twig joins, one-pass duplicate-eliminating projections,
+// external sort, the exchange, and the relfor driver that evaluates the
+// structural part of a TPM plan against a store. Every operator pulls its
+// inputs through one contract, NextBatch (see batch.go).
 //
 // Intermediate rows bind one XASR tuple per relation alias. Milestone 3's
 // allowance to "write each intermediate result to disk and re-read it" is
@@ -84,10 +86,6 @@ type Ctx struct {
 	// DefaultBatchSize). Awkward sizes (1, 7) are exercised by the fuzz
 	// harness to shake out batch-boundary bugs.
 	BatchSize int
-	// RowMode forces every operator onto the row-at-a-time adapter with
-	// single-row batches — the faithful pre-batching execution mode, kept
-	// as a fallback and as the fuzz/bench baseline.
-	RowMode bool
 	// DOP caps the workers any exchange operator of this query may run
 	// (0 means "as planned"; 1 forces serial execution at runtime even
 	// when the plan carries exchange nodes).
@@ -98,19 +96,28 @@ type Ctx struct {
 }
 
 // check polls the query's budget (cancellation + deadline); operators call
-// it once per produced tuple or merge step.
+// it once per NextBatch, probe, or merge step.
 func (c *Ctx) check() error { return c.Budget.Check() }
 
 // checkN polls the query's budget once for a batch of n rows; batched
 // operators call it per batch instead of per row.
 func (c *Ctx) checkN(n int) error { return c.Budget.CheckN(n) }
 
+// produced tallies one output batch of n rows against the producing
+// operator's stats and the query counters, and returns n; an empty batch
+// (end of stream) counts nothing.
+func (c *Ctx) produced(st *OpStats, n int) int {
+	if n > 0 {
+		st.Rows += int64(n)
+		st.Batches++
+		c.Counters.Batches++
+	}
+	return n
+}
+
 // batchCap returns the row capacity batched operators size their batches
 // to.
 func (c *Ctx) batchCap() int {
-	if c.RowMode {
-		return 1
-	}
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}
@@ -161,7 +168,7 @@ type Counters struct {
 	SpilledBytes int64
 	// SpillRuns counts temp run files those operators created.
 	SpillRuns int64
-	// Batches counts row batches produced by natively batched operators.
+	// Batches counts the non-empty row batches operators produced.
 	Batches int64
 }
 
@@ -209,8 +216,7 @@ type OpStats struct {
 	SpilledBytes int64
 	// SpillRuns counts temp run files this operator created.
 	SpillRuns int64
-	// Batches counts row batches this operator produced natively (zero
-	// for operators running through the row-at-a-time adapter).
+	// Batches counts the non-empty row batches this operator produced.
 	Batches int64
 	// SelRows counts candidate rows examined by this operator's residual
 	// predicate; Rows/SelRows is the observed selectivity EXPLAIN ANALYZE

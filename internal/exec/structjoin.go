@@ -96,7 +96,7 @@ func (j *StructuralJoin) Describe() string {
 	return d
 }
 
-func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	if outer != nil {
 		return nil, fmt.Errorf("exec: structural join cannot be an INL inner")
 	}
@@ -115,20 +115,15 @@ func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter
 		right.Close()
 		return nil, err
 	}
-	var anc, desc rowIter
-	var descSlots int
-	if j.ancLeft {
-		anc, desc = left, right
-		descSlots = len(j.Right.Schema().Aliases)
-	} else {
+	anc, desc := left, right
+	if !j.ancLeft {
 		anc, desc = right, left
-		descSlots = len(j.Left.Schema().Aliases)
 	}
-	ds := newBatchStream(ctx, desc, descSlots, j.descSlot)
+	ds := newBatchStream(desc, j.descSlot)
 	if j.AncOrder {
-		return &structAncIter{ctx: ctx, j: j, left: left, right: right, anc: anc, ds: ds}, nil
+		return &structAncIter{ctx: ctx, j: j, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
 	}
-	return &structJoinIter{ctx: ctx, j: j, left: left, right: right, anc: anc, ds: ds}, nil
+	return &structJoinIter{ctx: ctx, j: j, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
 }
 
 // structJoinIter runs the merge batch-at-a-time. Both streams are
@@ -143,11 +138,11 @@ func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter
 type structJoinIter struct {
 	ctx         *Ctx
 	j           *StructuralJoin
-	left, right rowIter
-	anc         rowIter
+	left, right batchIter
+	anc         rowView      // ancestor side, walked row by row
 	ds          *batchStream // descendant side, batch-buffered
 
-	ancRow  Row // head of the ancestor stream (valid until anc.Next)
+	ancRow  Row // head of the ancestor stream (valid until anc.next)
 	haveAnc bool
 	ancEOF  bool
 	done    bool
@@ -164,8 +159,7 @@ type structJoinIter struct {
 	emitS    int
 	emitting bool
 
-	view   rowView // serves the row contract on top of NextBatch
-	joined Row     // scratch row for residual-condition evaluation
+	joined Row // scratch row for residual-condition evaluation
 }
 
 // pairMatches evaluates the structural predicate between an ancestor-side
@@ -184,13 +178,7 @@ func (j *StructuralJoin) pairMatches(anc, desc Row) bool {
 // push copies row onto the stack, reusing the backing array of a
 // previously popped slot when possible.
 func (it *structJoinIter) push(row Row) {
-	n := len(it.stack)
-	if n < cap(it.stack) {
-		it.stack = it.stack[:n+1]
-	} else {
-		it.stack = append(it.stack, nil)
-	}
-	it.stack[n] = append(it.stack[n][:0], row...)
+	it.stack = appendRowCopy(it.stack, row)
 	depth := int64(len(it.stack))
 	if depth > it.j.stats.StackMax {
 		it.j.stats.StackMax = depth
@@ -214,7 +202,7 @@ func (it *structJoinIter) popBelow(pos uint32) {
 // emitRun appends (descendant, stack entry) pairs of the current run to
 // out until the output batch fills or the run is exhausted, clearing
 // emitting in the latter case. Pairs emit per descendant, stack
-// bottom-up — the row engine's order. fast skips the per-pair predicate:
+// bottom-up. fast skips the per-pair predicate:
 // within a run on the descendant axis every stack entry strictly
 // contains every descendant row (labels are drawn from one counter, so
 // interval endpoints never collide and self-pairs cannot arise).
@@ -275,8 +263,7 @@ func (it *structJoinIter) emitRun(out *Batch, capRows int, fast bool) error {
 }
 
 func (it *structJoinIter) NextBatch(out *Batch) (int, error) {
-	capRows := it.ctx.batchCap()
-	out.reset(len(it.j.schema.Aliases), capRows)
+	capRows := out.reset(it.ctx, len(it.j.schema.Aliases))
 	if err := it.ctx.check(); err != nil {
 		return 0, err
 	}
@@ -307,7 +294,7 @@ func (it *structJoinIter) NextBatch(out *Batch) (int, error) {
 		// descendant; later ones cannot contain it.
 		for !it.ancEOF {
 			if !it.haveAnc {
-				row, ok, err := it.anc.Next()
+				row, ok, err := it.anc.next()
 				if err != nil {
 					return 0, err
 				}
@@ -360,23 +347,11 @@ func (it *structJoinIter) NextBatch(out *Batch) (int, error) {
 		it.emitS = 0
 		it.emitting = true
 	}
-	if out.n > 0 {
-		it.j.stats.Rows += int64(out.n)
-		it.ctx.Counters.RowsStructural += int64(out.n)
-		it.j.stats.Batches++
-		it.ctx.Counters.Batches++
-		if err := it.ctx.checkN(out.n); err != nil {
-			return 0, err
-		}
+	it.ctx.Counters.RowsStructural += int64(out.n)
+	if err := it.ctx.checkN(out.n); err != nil {
+		return 0, err
 	}
-	return out.n, nil
-}
-
-func (it *structJoinIter) Next() (Row, bool, error) {
-	if it.view.src == nil {
-		it.view.src = it
-	}
-	return it.view.next()
+	return it.ctx.produced(&it.j.stats, out.n), nil
 }
 
 func (it *structJoinIter) Close() error {
@@ -437,7 +412,8 @@ const ancSpillChunk = 4 << 10
 // arrival order, descendants in document order within one ancestor row.
 //
 // Output rows are materialized (the lists outlive the input rows'
-// buffers); consumed rows return to a free pool, and the buffered-row
+// buffers); rows copied into an output batch return to a free pool, and
+// the buffered-row
 // high-water mark is tracked as the operator's list mark. List memory is
 // drawn from the query budget; when a reservation is refused (or the soft
 // budget is exceeded) every buffered list spills to one shared temp file
@@ -446,11 +422,11 @@ const ancSpillChunk = 4 << 10
 type structAncIter struct {
 	ctx         *Ctx
 	j           *StructuralJoin
-	left, right rowIter
-	anc         rowIter
+	left, right batchIter
+	anc         rowView      // ancestor side, walked row by row
 	ds          *batchStream // descendant side, batch-buffered
 
-	ancRow  Row // head of the ancestor stream (valid until anc.Next)
+	ancRow  Row // head of the ancestor stream (valid until anc.next)
 	haveAnc bool
 	ancEOF  bool
 
@@ -466,10 +442,8 @@ type structAncIter struct {
 	outSeg int
 	outPos int
 
-	last       Row   // row returned by the previous Next, recycled on entry
-	lastPooled bool  // whether last may return to the free pool
-	free       []Row // recycled row buffers
-	buffered   int64 // rows currently held in self/inherit lists
+	free     []Row // recycled row buffers
+	buffered int64 // rows currently held in self/inherit lists
 
 	// spill machinery: one lazily created run file shared by every spilled
 	// segment, a seekable reader for emission, and the accounting the
@@ -696,7 +670,7 @@ func (it *structAncIter) pairDesc(matchAll bool) error {
 			continue
 		}
 		if i == 0 {
-			// Bottom pairs drain promptly through Next; queue them as
+			// Bottom pairs drain promptly through NextBatch; queue them as
 			// unaccounted mem segments (coalescing with a mem tail).
 			if n := len(it.out); n > 0 && it.out[n-1].mem != nil && n-1 >= it.outSeg {
 				it.out[n-1].mem = append(it.out[n-1].mem, pr)
@@ -739,7 +713,7 @@ func (it *structAncIter) advance() error {
 		// descendant; later ones cannot contain it.
 		for !it.ancEOF {
 			if !it.haveAnc {
-				row, ok, err := it.anc.Next()
+				row, ok, err := it.anc.next()
 				if err != nil {
 					return err
 				}
@@ -806,90 +780,77 @@ func (it *structAncIter) advance() error {
 	}
 }
 
-// emitNext pulls the next queued row out of the segment chain: in-memory
-// rows hand over their buffer (recycled after the consumer moves on), disk
-// rows decode into a reused buffer via the seekable segment reader.
-func (it *structAncIter) emitNext() (Row, bool, error) {
-	for it.outSeg < len(it.out) {
+// drain moves queued rows into b until it holds capRows rows or the queue
+// is empty: in-memory rows are copied and their buffers recycled, disk rows
+// decode through a reused buffer via the seekable segment reader.
+func (it *structAncIter) drain(b *Batch, capRows int) error {
+	for ; it.outSeg < len(it.out); it.outSeg, it.outPos = it.outSeg+1, 0 {
 		seg := &it.out[it.outSeg]
-		if seg.mem != nil {
-			if it.outPos < len(seg.mem) {
+		for it.outPos < seg.rows() {
+			if b.n >= capRows {
+				return nil
+			}
+			if seg.mem != nil {
 				r := seg.mem[it.outPos]
 				seg.mem[it.outPos] = nil
+				b.appendRow(r)
+				it.free = append(it.free, r)
 				it.outPos++
-				it.last = r
-				it.lastPooled = true
-				return r, true, nil
+				continue
 			}
-		} else if it.outPos < seg.n {
 			if it.outPos == 0 {
 				if it.segR == nil {
 					r, err := recfile.OpenSegReader(it.spillPath)
 					if err != nil {
-						return nil, false, err
+						return err
 					}
 					it.segR = r
 				}
 				if err := it.segR.SeekTo(seg.off); err != nil {
-					return nil, false, err
+					return err
 				}
 			}
 			rec, err := it.segR.Next()
 			if err != nil {
-				return nil, false, err
+				return err
 			}
 			if it.decbuf == nil {
 				it.decbuf = make(Row, len(it.j.schema.Aliases))
 			}
 			if err := decodeRowInto(it.decbuf, rec); err != nil {
-				return nil, false, err
+				return err
 			}
+			b.appendRow(it.decbuf)
 			it.outPos++
-			it.last = it.decbuf
-			it.lastPooled = false // reused decode buffer, never pooled
-			return it.decbuf, true, nil
 		}
 		// Segment drained: return its budget reservation.
 		it.ctx.Budget.Release(seg.res)
 		it.reserved -= seg.res
 		seg.res = 0
-		it.outSeg++
-		it.outPos = 0
 	}
-	return nil, false, nil
+	it.out = it.out[:0]
+	it.outSeg = 0
+	return nil
 }
 
-func (it *structAncIter) Next() (Row, bool, error) {
-	if it.last != nil {
-		// The previously returned row is dead per the rowIter contract.
-		if it.lastPooled {
-			it.free = append(it.free, it.last)
-		}
-		it.last = nil
-	}
+func (it *structAncIter) NextBatch(b *Batch) (int, error) {
+	capRows := b.reset(it.ctx, len(it.j.schema.Aliases))
 	for {
 		if err := it.ctx.check(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
-		r, ok, err := it.emitNext()
-		if err != nil {
-			return nil, false, err
+		if err := it.drain(b, capRows); err != nil {
+			return 0, err
 		}
-		if ok {
-			it.ctx.Counters.RowsStructural++
-			it.j.stats.Rows++
-			return r, true, nil
-		}
-		it.out = it.out[:0]
-		it.outSeg = 0
-		it.outPos = 0
-		if it.done {
-			return nil, false, nil
+		if b.n >= capRows || it.done {
+			break
 		}
 		if err := it.advance(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 	}
+	it.ctx.Counters.RowsStructural += int64(b.n)
+	return it.ctx.produced(&it.j.stats, b.n), nil
 }
 
 // Close releases the iterator's resources at any point mid-stream: the

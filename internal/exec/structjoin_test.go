@@ -293,15 +293,15 @@ func TestExplainAnalyzeAncStructuralJoin(t *testing.T) {
 	}
 	got := ExplainAnalyze(plan, ctx.Counters)
 	want := `relfor ($a, $b)
-  structural-join A//B [stack merge, descendant axis, anc-ordered]  (actual rows=3 opens=1 stack=2 list=1)
-  ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1)
+  structural-join A//B [stack merge, descendant axis, anc-ordered]  (actual rows=3 opens=1 batches=1 stack=2 list=1)
+  ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1 batches=1)
   └─ scan B: label index (elem, "b")  (actual rows=3 opens=1 batches=1)
   return
     ()
 
 counters: scanned=5 joined=0 structural=3 twig=0 emitted=0
           probes=0 rescans=0 sorted=0 spilled=0 stack-max=2 list-max=1 path-solutions=0
-          spill-bytes=0 spill-runs=0 batches=1
+          spill-bytes=0 spill-runs=0 batches=3
 `
 	if got != want {
 		t.Errorf("golden EXPLAIN ANALYZE mismatch:\n-- got --\n%s\n-- want --\n%s", got, want)
@@ -309,8 +309,8 @@ counters: scanned=5 joined=0 structural=3 twig=0 emitted=0
 }
 
 // TestExplainAnalyzeBatchedStructuralJoin is the golden rendering test
-// for the batch-at-a-time fields: batches= on operators with a native
-// NextBatch (the merge join and its scans), sel= — residual-predicate
+// for the batch-at-a-time fields: batches= on every operator that produced
+// rows (the merge join and its scans), sel= — residual-predicate
 // selectivity — on a filtering scan, and the query-wide batch counter.
 func TestExplainAnalyzeBatchedStructuralJoin(t *testing.T) {
 	ctx := testCtx(t, nestedDoc)
@@ -324,14 +324,14 @@ func TestExplainAnalyzeBatchedStructuralJoin(t *testing.T) {
 	got := ExplainAnalyze(plan, ctx.Counters)
 	want := `relfor ($a, $b)
   structural-join A//B [stack merge, descendant axis]  (actual rows=1 opens=1 batches=1 stack=2)
-  ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1)
+  ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1 batches=1)
   └─ scan B: label index (elem, "b") σ(B.in > 5)  (actual rows=2 opens=1 batches=1 sel=0.67)
   return
     ()
 
 counters: scanned=5 joined=0 structural=1 twig=0 emitted=0
           probes=0 rescans=0 sorted=0 spilled=0 stack-max=2 list-max=0 path-solutions=0
-          spill-bytes=0 spill-runs=0 batches=2
+          spill-bytes=0 spill-runs=0 batches=3
 `
 	if got != want {
 		t.Errorf("golden EXPLAIN ANALYZE mismatch:\n-- got --\n%s\n-- want --\n%s", got, want)

@@ -125,7 +125,7 @@ func (j *TwigJoin) Describe() string {
 	return d
 }
 
-func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, error) {
+func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
 	if outer != nil {
 		return nil, fmt.Errorf("exec: twig join cannot be an INL inner")
 	}
@@ -133,7 +133,7 @@ func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, erro
 	it := &twigJoinIter{
 		ctx:     ctx,
 		j:       j,
-		its:     make([]rowIter, k),
+		its:     make([]batchIter, k),
 		streams: make([]*batchStream, k),
 		heads:   make([]xasr.Tuple, k),
 		have:    make([]bool, k),
@@ -153,7 +153,7 @@ func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (rowIter, erro
 			return nil, err
 		}
 		it.its[i] = si
-		it.streams[i] = newBatchStream(ctx, si, 1, 0)
+		it.streams[i] = newBatchStream(si, 0)
 	}
 	j.stats.Opens++
 	if err := j.cc.compile(j.Conds, j.schema); err != nil {
@@ -175,7 +175,7 @@ type twigEntry struct {
 type twigJoinIter struct {
 	ctx     *Ctx
 	j       *TwigJoin
-	its     []rowIter
+	its     []batchIter
 	streams []*batchStream // batch-buffered view over its
 	heads   []xasr.Tuple   // peeked head per stream
 	have    []bool
@@ -192,7 +192,7 @@ type twigJoinIter struct {
 	sorter *recfile.Sorter     // final emission sort, live only during merge
 	sorted *recfile.Iterator   // sorted full matches
 	keyLen int
-	rowbuf Row // reused output buffer (see rowIter contract)
+	rowbuf Row // decode scratch
 	ran    bool
 }
 
@@ -654,8 +654,8 @@ func (it *twigJoinIter) joinPath(path []int, shared int, sb *recfile.BoundedBuf)
 
 // finalize streams the accumulated full matches through the residual
 // conditions into an external sort on the OutOrder in-labels, from which
-// Next decodes rows. With an empty OutOrder the stable sort preserves the
-// accumulation order (the emission order is unspecified anyway).
+// NextBatch decodes rows. With an empty OutOrder the stable sort preserves
+// the accumulation order (the emission order is unspecified anyway).
 func (it *twigJoinIter) finalize() error {
 	j := it.j
 	it.keyLen = 4 * len(j.outSlots)
@@ -728,32 +728,33 @@ func (it *twigJoinIter) finalize() error {
 	return nil
 }
 
-func (it *twigJoinIter) Next() (Row, bool, error) {
+func (it *twigJoinIter) NextBatch(b *Batch) (int, error) {
+	capRows := b.reset(it.ctx, len(it.j.Twig.Nodes))
 	if !it.ran {
 		it.ran = true
 		if err := it.run(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
-	}
-	if it.sorted == nil {
-		return nil, false, nil
-	}
-	rec, err := it.sorted.Next()
-	if err == io.EOF {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if it.rowbuf == nil {
 		it.rowbuf = make(Row, len(it.j.Twig.Nodes))
 	}
-	if err := decodeRowInto(it.rowbuf, rec[it.keyLen:]); err != nil {
-		return nil, false, err
+	if it.sorted == nil {
+		return 0, nil
 	}
-	it.ctx.Counters.RowsTwig++
-	it.j.stats.Rows++
-	return it.rowbuf, true, nil
+	for b.n < capRows {
+		rec, err := it.sorted.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		if err := decodeRowInto(it.rowbuf, rec[it.keyLen:]); err != nil {
+			return 0, err
+		}
+		b.appendRow(it.rowbuf)
+	}
+	it.ctx.Counters.RowsTwig += int64(b.n)
+	return it.ctx.produced(&it.j.stats, b.n), nil
 }
 
 func (it *twigJoinIter) Close() error {

@@ -351,17 +351,17 @@ func TestExplainAnalyzeTwigUnderJoin(t *testing.T) {
 	}
 	got := ExplainAnalyze(plan, ctx.Counters)
 	want := `relfor ($a, $b, $c)
-  inl-join → scan C: label index (elem, "c") in ∈ [A.in+1, A.out)  (actual rows=4 opens=1)
-  ├─ twig-join A[//B] [holistic, 2 streams]  (actual rows=5 opens=1 stack=2)
+  inl-join → scan C: label index (elem, "c") in ∈ [A.in+1, A.out)  (actual rows=4 opens=1 batches=1)
+  ├─ twig-join A[//B] [holistic, 2 streams]  (actual rows=5 opens=1 batches=1 stack=2)
   │  ├─ scan A: label index (elem, "a")  (actual rows=4 opens=1 batches=1)
   │  └─ scan B: label index (elem, "b")  (actual rows=4 opens=1 batches=1)
-  └─ scan C: label index (elem, "c") in ∈ [A.in+1, A.out)  (actual rows=4 opens=5)
+  └─ scan C: label index (elem, "c") in ∈ [A.in+1, A.out)  (actual rows=4 opens=5 batches=3)
   return
     ()
 
 counters: scanned=12 joined=4 structural=0 twig=5 emitted=0
           probes=5 rescans=0 sorted=0 spilled=0 stack-max=2 list-max=0 path-solutions=5
-          spill-bytes=0 spill-runs=0 batches=2
+          spill-bytes=0 spill-runs=0 batches=7
 `
 	if got != want {
 		t.Errorf("golden EXPLAIN ANALYZE mismatch:\n-- got --\n%s\n-- want --\n%s", got, want)

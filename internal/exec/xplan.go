@@ -43,8 +43,8 @@ type XSeq struct {
 // XRelFor executes the physical Root plan; each result row binds Vars (the
 // row's slots correspond 1:1 to Vars) and evaluates Body. With no Vars it
 // implements the nullary pass-fail check: Body runs once if the algebra
-// result is nonempty, and the iterator stops after the first row (an
-// early-out the relational semantics licenses).
+// result is nonempty, and the root is asked for one row only (an early-out
+// the relational semantics licenses).
 type XRelFor struct {
 	Vars []string
 	Root PlanNode
@@ -140,23 +140,19 @@ func runRelFor(ctx *Ctx, p *XRelFor, out []byte) ([]byte, error) {
 	defer it.Close()
 
 	if len(p.Vars) == 0 {
-		// Nullary pass-fail: nonempty result means "true". Pull through the
-		// row contract — the batched operators' row views stop after one
-		// batch, keeping the early-out cheap.
-		_, ok, err := it.Next()
-		if err != nil || !ok {
+		// Nullary pass-fail: nonempty result means "true", so ask the root
+		// for a single row — the early-out stops every producer after it.
+		b := Batch{limit: 1}
+		n, err := it.NextBatch(&b)
+		if err != nil || n == 0 {
 			return out, err
 		}
 		return run(ctx, p.Body, out)
 	}
 
-	// Drive a batched root through a row view: the operator pipeline moves
-	// batches, only the final binding loop walks rows.
-	next := it.Next
-	if bi, ok := it.(batchIter); ok && !ctx.RowMode {
-		v := &rowView{src: bi}
-		next = v.next
-	}
+	// The operator pipeline moves batches; only this binding loop walks
+	// rows.
+	rows := rowView{src: it}
 
 	// Save shadowed bindings so nested relfors over the same names (from
 	// separate query branches) restore correctly.
@@ -176,7 +172,7 @@ func runRelFor(ctx *Ctx, p *XRelFor, out []byte) ([]byte, error) {
 	}()
 
 	for {
-		row, ok, err := next()
+		row, ok, err := rows.next()
 		if err != nil {
 			return out, err
 		}

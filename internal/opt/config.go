@@ -109,15 +109,6 @@ type Config struct {
 	// together with UseTwig; off for ablation (the all-or-nothing twig of
 	// the original M4).
 	UsePartialTwig bool
-	// TwigRemainderINL lets the joins ABOVE a partial-twig seed keep
-	// interval-bounded index nested-loops candidates even when UseINL is
-	// off — the forced-twig family's escape hatch: uncovered remainder
-	// relations (value-join tails, disconnected components) that a
-	// parameterized access path could serve no longer fall back to
-	// full-scan NL inners, so the forced mode stays representative on
-	// value-heavy shapes. Unparameterized inners are unaffected, and so
-	// is every join below or inside the twig.
-	TwigRemainderINL bool
 	// Stats selects the statistics quality for the cost model.
 	Stats StatsMode
 	// MaxEnumRels caps exhaustive join-order enumeration; beyond it the
@@ -158,19 +149,18 @@ func M3() Config {
 // order strategies to choose from.
 func M4() Config {
 	return Config{
-		CostBased:        true,
-		Strategies:       OrderPreserve | OrderSemijoin | OrderSort,
-		UseLabelIndex:    true,
-		UseParentIndex:   true,
-		UseINL:           true,
-		UseBNL:           true,
-		UseStructural:    true,
-		StructuralEmit:   EmitAny,
-		UseTwig:          true,
-		UsePartialTwig:   true,
-		TwigRemainderINL: true,
-		Stats:            StatsAccurate,
-		MaxEnumRels:      8,
+		CostBased:      true,
+		Strategies:     OrderPreserve | OrderSemijoin | OrderSort,
+		UseLabelIndex:  true,
+		UseParentIndex: true,
+		UseINL:         true,
+		UseBNL:         true,
+		UseStructural:  true,
+		StructuralEmit: EmitAny,
+		UseTwig:        true,
+		UsePartialTwig: true,
+		Stats:          StatsAccurate,
+		MaxEnumRels:    8,
 	}
 }
 
@@ -216,8 +206,8 @@ func NaiveTPM() Config {
 //	                (UsePartialTwig, inherited on) a conjunction whose
 //	                predicates cover only a subset runs the subtwig with
 //	                the remainder joined on top — interval-bounded INL
-//	                where a parameterized access exists
-//	                (TwigRemainderINL), plain NL otherwise
+//	                where a parameterized access exists, plain NL
+//	                otherwise
 //	structural      binary merge join forced (twig and loop competitors
 //	                off), restricted to the descendant-ordered
 //	                Stack-Tree-Desc emission — ancestor-first vartuples

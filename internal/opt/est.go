@@ -22,9 +22,9 @@ const (
 	// merges consume and emit them in runs, so the per-row virtual call,
 	// budget poll, and copy amortize over ~DefaultBatchSize rows. What
 	// remains is the real per-row work (predicate evaluation, column
-	// appends), calibrated at a quarter of the row-engine charge. Row-wise
-	// machinery — index probes, nested-loops inner passes, sorts, spool
-	// replay — keeps the full cpuPerTuple.
+	// appends), calibrated at a quarter of cpuPerTuple. Per-pair and
+	// per-record machinery — index probes, nested-loops inner passes,
+	// sorts, spool replay — keeps the full cpuPerTuple.
 	cpuBatchedTuple = cpuPerTuple / 4
 
 	// exchangeStartup is the fixed charge of opening a parallel exchange:

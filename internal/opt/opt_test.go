@@ -765,8 +765,8 @@ func TestForcedTwigRemainderKeepsINL(t *testing.T) {
 	st := dblpStore(t)
 	// The covered twig (x, a, t, y) leads; the uncovered second component
 	// (p, s with p//s) joins on top. Under the forced twig family UseINL
-	// is off, but TwigRemainderINL keeps the interval-bounded probe for
-	// the uncovered s — previously a full-scan NL inner.
+	// is off, but the joins above the seed keep the interval-bounded probe
+	// for the uncovered s instead of a full-scan NL inner.
 	const q = `for $x in //inproceedings return for $a in $x//author return for $t in $x//title return for $y in $x//year return if (some $p in //phdthesis satisfies some $s in $p//author satisfies true()) then $t else ()`
 	forced, ok := ForceJoin("twig")
 	if !ok {
@@ -779,16 +779,9 @@ func TestForcedTwigRemainderKeepsINL(t *testing.T) {
 	if !strings.Contains(out, "inl-join") || !strings.Contains(out, ".in+1") {
 		t.Errorf("uncovered remainder not served by an interval-bounded INL:\n%s", out)
 	}
-	// The knob off restores the old full-scan NL behavior.
-	noINL := forced
-	noINL.TwigRemainderINL = false
-	outOff := explain(t, st, noINL, q)
-	if strings.Contains(outOff, "inl-join") {
-		t.Errorf("remainder INL used with TwigRemainderINL=false:\n%s", outOff)
-	}
-	// Same answers either way.
+	// Same answer as the unforced planner.
 	var got [2]string
-	for i, cfg := range []Config{forced, noINL} {
+	for i, cfg := range []Config{forced, M4()} {
 		xplan := planFor(t, st, cfg, q)
 		tmp, err := st.TempDir()
 		if err != nil {

@@ -32,9 +32,6 @@ func (p *Planner) parallelizeNode(n exec.PlanNode) exec.PlanNode {
 	case *exec.NLJoin:
 		t.Left = p.parallelizeNode(t.Left)
 		t.Right = p.parallelizeNode(t.Right)
-	case *exec.BNLJoin:
-		t.Left = p.parallelizeNode(t.Left)
-		t.Right = p.parallelizeNode(t.Right)
 	case *exec.INLJoin:
 		// The inner re-resolves its access bounds per outer row; only the
 		// outer side can run under an exchange.

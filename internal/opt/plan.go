@@ -295,8 +295,8 @@ type joinToggles struct {
 	// descendant order (Stack-Tree-Desc).
 	structAnc bool
 	// remainderINL lets joinNext keep interval-bounded INL candidates
-	// even when UseINL is off — set only for the joins above a
-	// partial-twig seed under Config.TwigRemainderINL.
+	// even when UseINL is off — set for the joins above a partial-twig
+	// seed.
 	remainderINL bool
 }
 
@@ -804,12 +804,14 @@ func remainder(rels []string, seed *built) []string {
 }
 
 // buildOnSeed joins the given relations on top of a cloned seed in order
-// and finalizes the plan. Under TwigRemainderINL the remainder joins keep
-// interval-bounded INL candidates even when UseINL is off — the uncovered
-// relations are exactly where the forced-twig family used to degrade to
-// full-scan NL inners.
+// and finalizes the plan. The remainder joins keep interval-bounded INL
+// candidates even when UseINL is off: uncovered relations (value-join
+// tails, disconnected components) that a parameterized access path can
+// serve must not degrade the forced-twig family to full-scan NL inners.
+// Unparameterized inners are unaffected, and so is every join below or
+// inside the twig.
 func (p *Planner) buildOnSeed(psx *tpm.PSX, info *psxInfo, seed *built, order []string, t joinToggles) (exec.PlanNode, float64, error) {
-	t.remainderINL = p.cfg.TwigRemainderINL
+	t.remainderINL = true
 	b := seed.clone()
 	for _, r := range order {
 		if err := p.joinNext(info, b, r, t); err != nil {

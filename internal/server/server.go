@@ -12,7 +12,7 @@
 //	GET    /stats                plan-cache and document statistics
 //
 // Queries accept per-request knobs as URL parameters (mode, timeout,
-// membudget, sortbudget, batch, dop — mapping one-to-one onto
+// membudget, sortbudget, dop — mapping one-to-one onto
 // core.Config) and a session id; canceling the session aborts its
 // in-flight queries and nothing else, which the per-query engine handles
 // make safe. Responses are JSON by default; format=xml returns the bare
@@ -259,7 +259,6 @@ func (s *Server) parseQueryConfig(r *http.Request) (core.Config, error) {
 	}{
 		{"membudget", &cfg.MemBudget},
 		{"sortbudget", &cfg.SortBudget},
-		{"batch", &cfg.BatchSize},
 		{"dop", &cfg.DOP},
 	} {
 		if v := q.Get(p.key); v != "" {

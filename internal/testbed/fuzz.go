@@ -37,12 +37,12 @@ type FuzzConfig struct {
 	Budget int
 	// BatchSizes is the operator batch-capacity dimension: iteration i runs
 	// every engine at BatchSizes[i mod len]. Values follow
-	// core.Config.BatchSize (0 = default capacity, negative = row-at-a-time
-	// adapter). Defaults to {0, 1, 7, -1}, so the full-size batches, the
-	// degenerate one-row batches, an odd mid-size that never divides leaf
-	// or run lengths, and the pure row path all face the byte-equivalence
-	// check. The dimension draws nothing from the seed stream, so pinned
-	// seeds replay the same documents and queries regardless.
+	// core.Config.BatchSize (0 = default capacity). Defaults to {0, 1, 7},
+	// so the full-size batches, the degenerate one-row batches, and an odd
+	// mid-size that never divides leaf or run lengths all face the
+	// byte-equivalence check. The dimension draws nothing from the seed
+	// stream, so pinned seeds replay the same documents and queries
+	// regardless.
 	BatchSizes []int
 	// DOPs is the intra-query parallelism dimension: iteration i runs every
 	// engine at DOPs[i mod len] workers. Defaults to {1, 2, 4}. For DOP > 1
@@ -385,7 +385,7 @@ func RunFuzz(dir string, cfg FuzzConfig) ([]FuzzMismatch, int, error) {
 		cfg.Timeout = 30 * time.Second
 	}
 	if len(cfg.BatchSizes) == 0 {
-		cfg.BatchSizes = []int{0, 1, 7, -1}
+		cfg.BatchSizes = []int{0, 1, 7}
 	}
 	if len(cfg.DOPs) == 0 {
 		cfg.DOPs = []int{1, 2, 4}

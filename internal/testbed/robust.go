@@ -50,8 +50,8 @@ type RobustConfig struct {
 	// every comparison doubles as a cross-config equivalence check).
 	Opt *opt.Config
 	// BatchSize follows core.Config.BatchSize for the budgeted and
-	// deadlined engines (0 = executor default, negative = row-at-a-time);
-	// the clean reference always runs at the default so every comparison
+	// deadlined engines (0 = executor default); the clean reference
+	// always runs at the default so every comparison
 	// doubles as a batch-vs-reference equivalence check.
 	BatchSize int
 	// DOP follows core.Config.DOP for the budgeted and deadlined engines

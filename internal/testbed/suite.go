@@ -137,8 +137,8 @@ type EffConfig struct {
 	// to force one join operator family across the whole suite.
 	Opt *opt.Config
 	// BatchSize follows core.Config.BatchSize: 0 uses the executor
-	// default, a negative value forces row-at-a-time execution. Only the
-	// TPM-based modes have a batched executor; M1/M2 ignore it.
+	// default. Only the TPM-based modes have a batched executor; M1/M2
+	// ignore it.
 	BatchSize int
 	// DOP follows core.Config.DOP (0 or 1 = serial): the planner of the
 	// TPM-based modes may wrap large leaf scans in exchange operators
@@ -166,7 +166,7 @@ type EffRow struct {
 	Cells [5]EffCell
 	Total float64
 	// Batch is the operator batch capacity the engine ran with (core
-	// semantics: 0 = executor default, negative = row-at-a-time).
+	// semantics: 0 = executor default).
 	Batch int
 	// DOP is the intra-query parallelism cap the engine ran with (0 or
 	// 1 = serial).
@@ -259,16 +259,12 @@ func FormatFigure7(rows []EffRow) string {
 }
 
 // batchLabel renders a core.Config.BatchSize value for the table: the
-// executor default shows its real capacity, negative shows "row".
+// executor default shows its real capacity.
 func batchLabel(n int) string {
-	switch {
-	case n < 0:
-		return "row"
-	case n == 0:
-		return fmt.Sprint(exec.DefaultBatchSize)
-	default:
-		return fmt.Sprint(n)
+	if n == 0 {
+		n = exec.DefaultBatchSize
 	}
+	return fmt.Sprint(n)
 }
 
 // dopLabel renders a core.Config.DOP value for the table (0 and 1 are
