@@ -4,10 +4,11 @@ import "xqdb/internal/xasr"
 
 // recomputeStats rebuilds the document statistics and the text-hash
 // multisets from a single primary-tree scan, mirroring exactly what the
-// shredder would collect for the document in its current state. Recovery
-// uses it when the stats file's AppliedSeq stamp does not match the WAL:
-// the page data is authoritative after redo, the stats file may be one
-// crash behind.
+// shredder would collect for the document in its current state. Open uses
+// it when the stats file's AppliedSeq stamp does not match the WAL: the
+// page data is authoritative after redo, while commits never rewrite the
+// stats file, so after a crash it lags by every unit since the last Load
+// or clean Close.
 func (s *Store) recomputeStats(lastSeq uint64) error {
 	stats := &xasr.Stats{LabelCount: map[string]int64{}, LabelSubtreeSum: map[string]int64{}}
 	texts := xasr.TextHashes{}

@@ -121,11 +121,17 @@ type Store struct {
 	labelIdx   *btree.Tree                // nil if absent
 	parentIdx  *btree.Tree                // nil if absent
 	stats      atomic.Pointer[xasr.Stats] // installed snapshots are immutable
-	textHashes xasr.TextHashes            // touched only at open and under updBusy
 	appliedSeq atomic.Uint64              // seq of the last committed update unit
 	updBusy    atomic.Bool                // one Tx at a time
 	maxIn      atomic.Uint32
 	loaded     bool
+
+	// textHashes backs LabelDistinctTexts. Writer-only: set at open and
+	// Load, changed only by Commit folding in a durable unit's delta.
+	textHashes xasr.TextHashes
+	// statsSeq is the AppliedSeq stamp of the stats.bin on disk; Close
+	// rewrites the file only when units committed since.
+	statsSeq uint64
 
 	// rw excludes updates from readers: queries and serialization hold
 	// the read side for their whole run (see ReadLock), an update unit
@@ -144,8 +150,8 @@ type Store struct {
 
 // Open opens or creates a store in dir. A read-write open replays any
 // committed-but-unapplied WAL tail into the page file first (redo
-// recovery) and rebuilds the statistics if they predate the replayed
-// updates; a read-only open refuses a store with replay pending.
+// recovery); a read-only open refuses a store with replay pending. Either
+// mode rebuilds the statistics if they predate the last committed update.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -209,9 +215,10 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // finishOpen reads the header and statistics once the page file reflects
-// every committed update up to lastSeq. Stale or unreadable statistics
-// (a crash can land between the WAL commit and the stats rewrite) are
-// rebuilt from the primary tree when the store is writable.
+// every committed update up to lastSeq. Commits do not rewrite stats.bin
+// (only Load and a clean Close do), so after a crash its stamp is behind
+// lastSeq; stale or unreadable statistics are rebuilt exactly from the
+// primary tree in both modes, and written back when the store is writable.
 func (s *Store) finishOpen(lastSeq uint64, writable bool) error {
 	if err := s.loadHeader(); err != nil {
 		return err
@@ -220,24 +227,21 @@ func (s *Store) finishOpen(lastSeq uint64, writable bool) error {
 		return nil
 	}
 	stamp, err := s.loadStats()
-	if !writable {
-		return err // read-only: serve the stats as stored
-	}
 	if err == nil && stamp == lastSeq {
-		if s.textHashes == nil {
-			if s.stats.Load().Texts == 0 {
-				s.textHashes = xasr.TextHashes{}
-			} else {
-				// Pre-WAL stats file: rebuild to get the multisets.
-				err = errors.New("rebuild")
-			}
-		}
-		if err == nil {
+		switch {
+		case s.textHashes != nil || !writable:
+			return nil // only the update path needs the multisets
+		case s.stats.Load().Texts == 0:
+			s.textHashes = xasr.TextHashes{}
 			return nil
 		}
+		// Pre-WAL stats file without multisets: rebuild to get them.
 	}
 	if err := s.recomputeStats(lastSeq); err != nil {
 		return err
+	}
+	if !writable {
+		return nil
 	}
 	return s.saveStats()
 }
@@ -506,7 +510,8 @@ func bulkLoadFromSorter(pg *pager.Pager, sorter *recfile.Sorter) (*btree.Tree, e
 }
 
 // Close flushes and closes the store. A clean read-write close also
-// checkpoints, so the next open starts from an empty log.
+// checkpoints, so the next open starts from an empty log, and persists
+// the statistics if updates committed since they were last written.
 func (s *Store) Close() error {
 	if s.pg == nil {
 		return nil
@@ -518,6 +523,9 @@ func (s *Store) Close() error {
 		}
 		if e := s.pg.Checkpoint(s.wal.LastSeq()); e != nil && err == nil {
 			err = e
+		}
+		if err == nil && s.loaded && s.statsSeq != s.appliedSeq.Load() {
+			err = s.saveStats()
 		}
 	}
 	if e := s.pg.Close(); e != nil && err == nil {
@@ -600,8 +608,10 @@ type statsFile struct {
 }
 
 // saveStats writes the statistics via temp-file-and-rename: a crash mid-
-// write must not tear the previous stats file, because recovery decides
-// from its AppliedSeq stamp whether a rescan is needed.
+// write must not tear the previous stats file, because open decides from
+// its AppliedSeq stamp whether a rescan is needed. Statistics are derived
+// data, so this runs only where the data file is self-contained — Load,
+// a clean Close, and open after a rescan — never on the commit path.
 func (s *Store) saveStats() error {
 	path := filepath.Join(s.dir, statsFileName)
 	f, err := os.Create(path + ".tmp")
@@ -640,6 +650,7 @@ func (s *Store) saveStats() error {
 	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	s.statsSeq = sf.AppliedSeq
 	return nil
 }
 
@@ -678,6 +689,7 @@ func (s *Store) loadStats() (stamp uint64, err error) {
 	}
 	s.stats.Store(st)
 	s.textHashes = sf.THashes
+	s.statsSeq = sf.AppliedSeq
 	return sf.AppliedSeq, nil
 }
 

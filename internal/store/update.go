@@ -44,7 +44,7 @@ type Tx struct {
 	s       *Store
 	seq     uint64
 	stats   *xasr.Stats
-	texts   xasr.TextHashes
+	texts   textDelta // folded into s.textHashes by Commit, dropped by Abort
 	maxIn   uint32
 	moved   map[uint32]uint32   // pre-Tx in → current in, live relabeled nodes only
 	rev     map[uint32]uint32   // current in → pre-Tx in (inverse of moved)
@@ -81,7 +81,7 @@ func (s *Store) Begin() (*Tx, error) {
 		s:     s,
 		seq:   s.appliedSeq.Load() + 1,
 		stats: cloneStats(s.stats.Load()),
-		texts: cloneTexts(s.textHashes),
+		texts: textDelta{},
 		maxIn: s.maxIn.Load(),
 		moved: map[uint32]uint32{},
 		rev:   map[uint32]uint32{},
@@ -167,7 +167,6 @@ func (tx *Tx) Commit() error {
 		s.pg.AbortUpdate()
 		return nil
 	}
-	tx.stats.LabelDistinctTexts = tx.texts.Distinct()
 	tx.stats.MaxIn = tx.maxIn
 	s.maxIn.Store(tx.maxIn)
 	s.saveHeader()
@@ -182,17 +181,16 @@ func (tx *Tx) Commit() error {
 		}
 		return cerr
 	}
+	// The unit is durable. Its statistics are not written here: stats.bin
+	// is rewritten only at Load and a clean Close, and after a crash open
+	// rebuilds them by a rescan (finishOpen).
+	s.foldTexts(tx.texts, tx.stats.LabelDistinctTexts)
 	s.appliedSeq.Store(tx.seq)
 	s.stats.Store(tx.stats)
-	s.textHashes = tx.texts
-	ferr := cerr
-	if err := s.saveStats(); err != nil && ferr == nil {
-		ferr = err
+	if cerr == nil && s.wal.Bytes() > s.opts.checkpointBytes() {
+		cerr = s.Checkpoint()
 	}
-	if ferr == nil && s.wal.Bytes() > s.opts.checkpointBytes() {
-		ferr = s.Checkpoint()
-	}
-	return ferr
+	return cerr
 }
 
 // Abort discards the unit: every touched page reverts to its pre-Begin
@@ -412,6 +410,44 @@ func (tx *Tx) emitForest(forest []*fnode, parentIn uint32, next func() uint32, d
 
 // --- statistics deltas ---
 
+// textDelta is a unit's signed change to the store's text-hash multisets,
+// keyed like xasr.TextHashes, so its size is the texts the unit touched.
+type textDelta map[string]map[uint64]int64
+
+func (d textDelta) add(label, text string, n int64) {
+	m := d[label]
+	if m == nil {
+		m = make(map[uint64]int64)
+		d[label] = m
+	}
+	m[xasr.TextHash(text)] += n
+}
+
+// foldTexts applies a committed unit's delta to s.textHashes, keeping the
+// multisets in the shape a fresh shred produces (no empty entries), and
+// refreshes distinct — the unit's LabelDistinctTexts — for exactly the
+// labels the delta touched.
+func (s *Store) foldTexts(d textDelta, distinct map[string]int64) {
+	for label, dm := range d {
+		m := s.textHashes[label]
+		if m == nil {
+			m = make(map[uint64]int64, len(dm))
+		}
+		for h, n := range dm {
+			if m[h] += n; m[h] <= 0 {
+				delete(m, h)
+			}
+		}
+		if len(m) == 0 {
+			delete(s.textHashes, label)
+			delete(distinct, label)
+		} else {
+			s.textHashes[label] = m
+			distinct[label] = int64(len(m))
+		}
+	}
+}
+
 // addForestStats accounts a newly inserted forest whose nodes are
 // children of a node at the given depth with the given element label
 // ("" if the parent is the document root).
@@ -436,7 +472,7 @@ func (tx *Tx) addForestStats(forest []*fnode, parentLabel string, parentDepth in
 		case xasr.TypeText:
 			st.Texts++
 			if parentLabel != "" {
-				tx.texts.Add(parentLabel, n.value)
+				tx.texts.add(parentLabel, n.value, 1)
 			}
 		}
 	}
@@ -654,7 +690,7 @@ func (tx *Tx) deleteSubtree(parent, t xasr.Tuple) error {
 		case xasr.TypeText:
 			st.Texts--
 			if top := stack[len(stack)-1]; top.label != "" {
-				tx.texts.Remove(top.label, d.Value)
+				tx.texts.add(top.label, d.Value, -1)
 			}
 		}
 	}
@@ -873,18 +909,6 @@ func cloneI64(m map[string]int64) map[string]int64 {
 	cp := make(map[string]int64, len(m))
 	for k, v := range m {
 		cp[k] = v
-	}
-	return cp
-}
-
-func cloneTexts(th xasr.TextHashes) xasr.TextHashes {
-	cp := make(xasr.TextHashes, len(th))
-	for label, m := range th {
-		im := make(map[uint64]int64, len(m))
-		for h, c := range m {
-			im[h] = c
-		}
-		cp[label] = im
 	}
 	return cp
 }

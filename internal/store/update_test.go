@@ -1,9 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -277,13 +281,26 @@ func TestUpdatePersistsAcrossReopen(t *testing.T) {
 	if err := s.LoadString(figure2); err != nil {
 		t.Fatal(err)
 	}
+	statsPath := filepath.Join(dir, statsFileName)
+	loaded := readFile(t, statsPath)
 	tx := begin(t, s)
 	if err := tx.InsertSubtree(lookupLabel(t, s, "authors"), InsertInto, `<name>Dee</name>`); err != nil {
 		t.Fatal(err)
 	}
 	commit(t, tx)
+	// Statistics are persisted at Load and a clean Close, never per commit.
+	if !bytes.Equal(readFile(t, statsPath), loaded) {
+		t.Error("Commit rewrote stats.bin")
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	var sf statsFile
+	if err := gob.NewDecoder(bytes.NewReader(readFile(t, statsPath))).Decode(&sf); err != nil {
+		t.Fatal(err)
+	}
+	if sf.AppliedSeq != 1 {
+		t.Errorf("stats.bin stamp after Close = %d, want 1", sf.AppliedSeq)
 	}
 
 	s2, err := Open(dir, Options{})
@@ -294,8 +311,62 @@ func TestUpdatePersistsAcrossReopen(t *testing.T) {
 	if got := xml(t, s2); got != `<journal><authors><name>Ana</name><name>Bob</name><name>Dee</name></authors><title>DB</title></journal>` {
 		t.Errorf("reopened: %s", got)
 	}
-	if s2.Stats().Card("name") != 3 {
-		t.Errorf("Card(name) = %d", s2.Stats().Card("name"))
+	st := s2.Stats()
+	if st.Card("name") != 3 {
+		t.Errorf("Card(name) = %d", st.Card("name"))
+	}
+	if got, ok := st.DistinctTexts("name"); !ok || got != 3 {
+		t.Errorf("DistinctTexts(name) = %d (ok=%v), want 3", got, ok)
+	}
+	if got, ok := st.SubtreeSum("authors"); !ok || got != 6 {
+		t.Errorf("SubtreeSum(authors) = %d (ok=%v), want 6", got, ok)
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestReadOnlyOpenRebuildsStaleStats crashes right after a checkpoint, so
+// the WAL needs no redo but stats.bin still carries the Load stamp: a
+// read-only open must rescan rather than serve the stale file.
+func TestReadOnlyOpenRebuildsStaleStats(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadString(figure2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; s.LastCheckpointLSN() == 0; i++ {
+		if i == 50 {
+			t.Fatal("no checkpoint fired")
+		}
+		tx := begin(t, s)
+		if err := tx.InsertSubtree(lookupLabel(t, s, "authors"), InsertInto, fmt.Sprintf("<name>N%d</name>", i)); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, tx)
+	}
+	doc := xml(t, s)
+	s.CrashClose()
+
+	ro, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
+	defer ro.Close()
+	got := *ro.Stats()
+	want := statsOf(t, doc)
+	got.MaxIn = want.MaxIn // a label-space bound, not a document property
+	if !reflect.DeepEqual(&got, want) {
+		t.Errorf("read-only stats:\n got %+v\nwant %+v", got, *want)
 	}
 }
 
@@ -332,8 +403,9 @@ func TestCommitCrashAfterWALFlushRecovers(t *testing.T) {
 	if got := xml(t, s2); got != `<journal><authors><name>Ana</name><name>Bob</name><name>Eve</name></authors><title>DB</title></journal>` {
 		t.Errorf("recovered: %s", got)
 	}
-	// The stats file was never rewritten (crash before it), so recovery
-	// must have rescanned: the new name must be counted.
+	// Commits never rewrite the stats file (only Load and a clean Close
+	// do), so it still carries the Load stamp and recovery must have
+	// rescanned: the new name must be counted.
 	if s2.Stats().Card("name") != 3 {
 		t.Errorf("recovered Card(name) = %d", s2.Stats().Card("name"))
 	}
@@ -386,8 +458,9 @@ func statsOf(t *testing.T, doc string) *xasr.Stats {
 }
 
 // TestRandomUpdateScriptStatsExact runs a pinned-seed random update
-// script and checks the incrementally maintained statistics byte-match a
-// fresh re-shred of the resulting document.
+// script, aborting a share of its units, and checks the incrementally
+// maintained statistics byte-match a fresh re-shred of the resulting
+// document.
 func TestRandomUpdateScriptStatsExact(t *testing.T) {
 	for _, stride := range []uint32{1, 8} {
 		t.Run(fmt.Sprintf("stride%d", stride), func(t *testing.T) {
@@ -432,7 +505,13 @@ func TestRandomUpdateScriptStatsExact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("op %d: %v", op, err)
 				}
-				commit(t, tx)
+				// Every 5th unit is rolled back after doing its work: its
+				// statistics delta must vanish with it.
+				if op%5 == 4 {
+					tx.Abort()
+				} else {
+					commit(t, tx)
+				}
 			}
 
 			got := s.Stats()

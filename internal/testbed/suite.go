@@ -158,6 +158,9 @@ type EffCell struct {
 	// Allocs is the heap allocation count of the run (runtime.MemStats
 	// Mallocs delta — a coarse but comparable allocs/op figure).
 	Allocs uint64
+	// Counters are the query's executor counters: unlike Seconds they
+	// repeat exactly for a given document, so shape checks assert on them.
+	Counters exec.Counters
 }
 
 // EffRow is one engine's row of the Figure 7 table.
@@ -218,8 +221,8 @@ func RunEfficiency(dir string, cfg EffConfig) ([]EffRow, error) {
 			_, err := e.Query(test.Query)
 			elapsed := time.Since(start).Seconds()
 			runtime.ReadMemStats(&ms)
-			row.SpilledBytes += e.Counters().SpilledBytes
-			cell := EffCell{Seconds: elapsed, Allocs: ms.Mallocs - before}
+			cell := EffCell{Seconds: elapsed, Allocs: ms.Mallocs - before, Counters: e.Counters()}
+			row.SpilledBytes += cell.Counters.SpilledBytes
 			row.Allocs += cell.Allocs
 			if errors.Is(err, limit.ErrTimeout) {
 				cell.TimedOut = true

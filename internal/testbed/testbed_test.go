@@ -74,11 +74,13 @@ func TestEfficiencySuiteShape(t *testing.T) {
 	}
 	// (3) The bad-statistics engine loses dramatically on test 5 while
 	// staying competitive elsewhere (the engine 2 anomaly). Both T5
-	// plans are sub-10 ms absolute on a warm machine, so the ratio
-	// wobbles with scheduler noise — 5x is still a decisive loss while
-	// staying clear of the noise floor (observed 9.4x–10.4x).
-	if bad.Cells[4].Seconds < 5*m4.Cells[4].Seconds || bad.Cells[4].Seconds < m4.Cells[4].Seconds+0.005 {
-		t.Errorf("T5: bad-stats engine (%0.4fs) did not blow up vs M4 (%0.4fs)", bad.Cells[4].Seconds, m4.Cells[4].Seconds)
+	// plans are sub-10 ms, too close to scheduler noise for a wall-clock
+	// guard, so the loss is asserted in work done, which repeats exactly
+	// (at 3 000 entries, seed 7: 21 rows+probes for M4, 22 804 for
+	// bad-stats).
+	work := func(c EffCell) int64 { return c.Counters.RowsScanned + c.Counters.IndexProbes }
+	if w4, wb := work(m4.Cells[4]), work(bad.Cells[4]); w4 == 0 || wb < 100*w4 {
+		t.Errorf("T5: bad-stats engine (%d rows scanned + index probes) did not blow up vs M4 (%d)", wb, w4)
 	}
 	for i := 0; i < 4; i++ {
 		if bad.Cells[i].Seconds > 5*m4.Cells[i].Seconds+0.5 {

@@ -334,42 +334,22 @@ func TextHash(s string) uint64 { return fnv1a(s) }
 
 // TextHashes is, per element label, the multiset of text-value hashes
 // occurring as direct children of elements with that label. The store
-// persists it alongside the statistics so deletions can decrement
-// LabelDistinctTexts exactly. Inner maps exist only while non-empty, and a
-// label has an entry only while it has text children — matching what a
-// fresh shred produces, so recovered and re-shredded stats compare equal.
+// keeps it in memory so each committed update unit can fold in its signed
+// delta and keep LabelDistinctTexts exact under deletions; stats.bin
+// carries a copy written at load and at a clean close. Inner maps exist
+// only while non-empty, and a label has an entry only while it has text
+// children — matching what a fresh shred produces, so recovered and
+// re-shredded stats compare equal.
 type TextHashes map[string]map[uint64]int64
 
-// Add records one text child under label and reports whether its value is
-// newly distinct for the label.
-func (th TextHashes) Add(label, text string) bool {
+// Add records one text child under label.
+func (th TextHashes) Add(label, text string) {
 	m := th[label]
 	if m == nil {
 		m = make(map[uint64]int64)
 		th[label] = m
 	}
-	h := fnv1a(text)
-	m[h]++
-	return m[h] == 1
-}
-
-// Remove drops one text child under label and reports whether its value is
-// no longer present at all for the label.
-func (th TextHashes) Remove(label, text string) bool {
-	m := th[label]
-	if m == nil {
-		return false
-	}
-	h := fnv1a(text)
-	m[h]--
-	if m[h] > 0 {
-		return false
-	}
-	delete(m, h)
-	if len(m) == 0 {
-		delete(th, label)
-	}
-	return true
+	m[fnv1a(text)]++
 }
 
 // Distinct rebuilds the LabelDistinctTexts statistic from the multisets.
