@@ -9,7 +9,6 @@
 //
 //	xqbench -suite correctness [-scale 2]
 //	xqbench -suite efficiency [-entries 20000] [-timeout 30s] [-frames 5120]
-//	xqbench -suite parallel [-entries 20000] [-dop 4] [-runs 5] [-json BENCH_PR8.json]
 //	xqbench -suite grading [-entries ...]
 //	xqbench -suite all
 package main
@@ -37,7 +36,7 @@ func main() {
 }
 
 func run() error {
-	suite := flag.String("suite", "all", "suite: correctness, efficiency, parallel, grading, all")
+	suite := flag.String("suite", "all", "suite: correctness, efficiency, grading, all")
 	scale := flag.Int("scale", 1, "correctness document scale factor")
 	entries := flag.Int("entries", 10000, "efficiency DBLP entries")
 	timeout := flag.Duration("timeout", 30*time.Second, "efficiency per-query cap (timed-out engines are assigned the cap)")
@@ -47,7 +46,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "workload seed")
 	join := flag.String("join", "auto", "force the join operator family in the efficiency suite: auto, twig, structural, structural-anc, inl, nl, bnl (non-auto runs the M4 engine only)")
 	batch := flag.Int("batch", exec.DefaultBatchSize, "operator batch capacity of the TPM engines (0 = default)")
-	dop := flag.Int("dop", 0, "intra-query parallelism of the TPM engines (0 = serial): the planner may run large leaf scans under exchange operators with this many workers; also the parallel-suite worker count (where 0 means 4)")
 	runs := flag.Int("runs", 1, "efficiency suite repetitions; the -json output reports per-test medians over them")
 	planCache := flag.Int("plancache", 0, "plan-cache entries shared across efficiency runs (0 = no cache); repeated runs skip parse+optimize and the hit rate is reported")
 	jsonPath := flag.String("json", "", "write efficiency results (per-test median seconds, allocs/op, spilled bytes) as JSON to this file")
@@ -118,7 +116,6 @@ func run() error {
 			Modes:       joinModes,
 			Opt:         joinOpt,
 			BatchSize:   *batch,
-			DOP:         *dop,
 		}
 		if *runs < 1 {
 			*runs = 1
@@ -151,43 +148,10 @@ func run() error {
 			fmt.Println()
 		}
 		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, *entries, *seed, *batch, *dop, all); err != nil {
+			if err := writeJSON(*jsonPath, *entries, *seed, *batch, all); err != nil {
 				return err
 			}
 			fmt.Printf("JSON results written to %s\n\n", *jsonPath)
-		}
-	}
-
-	if *suite == "parallel" {
-		pdop := *dop
-		if pdop <= 0 {
-			pdop = 4
-		}
-		fmt.Printf("== parallel suite (scan-dominated shapes, %d entries, dop %d, %d runs) ==\n\n", *entries, pdop, *runs)
-		for _, sh := range testbed.ParallelShapes() {
-			fmt.Printf("%s: %s\n    rationale: %s\n", sh.Name, sh.Query, sh.Why)
-		}
-		fmt.Println()
-		rep, err := testbed.RunParallel(dir, testbed.ParallelConfig{
-			Entries: *entries,
-			Seed:    *seed,
-			Runs:    *runs,
-			DOP:     pdop,
-			Timeout: *timeout,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(testbed.FormatParallel(rep))
-		if *jsonPath != "" {
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("JSON results written to %s\n", *jsonPath)
 		}
 	}
 
@@ -239,19 +203,16 @@ type benchEngine struct {
 }
 
 type benchReport struct {
-	Entries int   `json:"entries"`
-	Seed    int64 `json:"seed"`
-	Runs    int   `json:"runs"`
-	Batch   int   `json:"batch"`
-	// DOP is the intra-query parallelism the TPM engines ran at (0 =
-	// serial).
-	DOP     int           `json:"dop"`
+	Entries int           `json:"entries"`
+	Seed    int64         `json:"seed"`
+	Runs    int           `json:"runs"`
+	Batch   int           `json:"batch"`
 	Engines []benchEngine `json:"engines"`
 }
 
 // writeJSON aggregates repeated efficiency runs into per-test medians and
 // writes them as JSON.
-func writeJSON(path string, entries int, seed int64, batch, dop int, all [][]testbed.EffRow) error {
+func writeJSON(path string, entries int, seed int64, batch int, all [][]testbed.EffRow) error {
 	byMode := map[core.Mode][]testbed.EffRow{}
 	var order []core.Mode
 	for _, rows := range all {
@@ -262,7 +223,7 @@ func writeJSON(path string, entries int, seed int64, batch, dop int, all [][]tes
 			byMode[r.Mode] = append(byMode[r.Mode], r)
 		}
 	}
-	rep := benchReport{Entries: entries, Seed: seed, Runs: len(all), Batch: batch, DOP: dop}
+	rep := benchReport{Entries: entries, Seed: seed, Runs: len(all), Batch: batch}
 	for _, m := range order {
 		runs := byMode[m]
 		e := benchEngine{Name: m.String(), Batch: batch, TestsSec: make([]float64, 5)}

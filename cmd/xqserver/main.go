@@ -51,7 +51,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "default per-query timeout (0 = unlimited)")
 		memBudget  = flag.Int("membudget", 0, "default per-query memory budget in bytes (0 = unlimited)")
 		sortBudget = flag.Int("sortbudget", 1<<20, "default operator sort/spool budget in bytes")
-		dop        = flag.Int("dop", 0, "default degree of intra-query parallelism")
 		loads      loadFlags
 	)
 	flag.Var(&loads, "load", "load a document at startup: name=path (repeatable)")
@@ -99,7 +98,6 @@ func main() {
 			Timeout:    *timeout,
 			MemBudget:  *memBudget,
 			SortBudget: *sortBudget,
-			DOP:        *dop,
 		},
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

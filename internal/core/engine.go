@@ -103,11 +103,6 @@ type Config struct {
 	// harnesses run awkward sizes (1, 7) to shake out batch-boundary bugs;
 	// a negative value fails every query with ErrBatchSize.
 	BatchSize int
-	// DOP is the degree of intra-query parallelism (0 or 1 = serial): the
-	// planner may wrap large leaf scans in exchange operators running up
-	// to DOP workers, and the executor caps any planned exchange at this
-	// many workers.
-	DOP int
 	// PlanCache, when set, caches compiled plans for the milestone 3/4
 	// modes, keyed by CacheDoc, the normalized query text, and the
 	// planner-relevant configuration; hits skip parse+optimize entirely.
@@ -162,11 +157,7 @@ func (e *Engine) Counters() exec.Counters {
 // optConfig derives the optimizer configuration for the mode.
 func (e *Engine) optConfig() opt.Config {
 	if e.cfg.Opt != nil {
-		cfg := *e.cfg.Opt
-		if cfg.DOP == 0 {
-			cfg.DOP = e.cfg.DOP
-		}
-		return cfg
+		return *e.cfg.Opt
 	}
 	var cfg opt.Config
 	switch e.cfg.Mode {
@@ -180,7 +171,6 @@ func (e *Engine) optConfig() opt.Config {
 		cfg = opt.M4()
 	}
 	cfg.SpoolBudget = e.cfg.SortBudget
-	cfg.DOP = e.cfg.DOP
 	return cfg
 }
 
@@ -411,7 +401,6 @@ func (e *Engine) execCtx(dl *limit.Deadline) (*exec.Ctx, *limit.Budget, error) {
 		SortBudget: e.cfg.SortBudget,
 		FaultHook:  e.cfg.FaultHook,
 		BatchSize:  e.cfg.BatchSize,
-		DOP:        e.cfg.DOP,
 	}
 	return ctx, budget, nil
 }

@@ -27,8 +27,7 @@ type Batch struct {
 	// limit, when positive, is the consumer's bound on the rows it wants
 	// from the next NextBatch: an existence check asks for one row, an
 	// index probe for what still fits its own output. Operators that fill
-	// the batch themselves honor it through reset; the exchange gather,
-	// which forwards worker batches whole, may return more.
+	// the batch themselves honor it through reset.
 	limit int
 	// n is the physical row count.
 	n int

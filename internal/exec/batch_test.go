@@ -110,11 +110,6 @@ var batchCases = []struct {
 		return buildTwig(t, []tpm.StructuralPred{descPred("A", "B")}, rels,
 			map[string]string{"A": "a", "B": "b"}, nil, rels)
 	}},
-	{"exchange-dop2", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
-		ea, eb := NewExchange(labelScan("A", "a"), 2), NewExchange(labelScan("B", "b"), 2)
-		ea.MorselRows, eb.MorselRows = 4, 16
-		return ancJoin(ea, eb, descPred("A", "B"), nil)
-	}},
 }
 
 // TestBatchSizeEquivalence replays every operator kind under every batch

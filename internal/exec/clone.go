@@ -3,9 +3,9 @@ package exec
 import "fmt"
 
 // ClonePlan returns a deep copy of an executable plan with all runtime
-// state (per-operator stats, compiled conjunctions, exchange worker
-// tallies) reset, sharing only the immutable compile-time parts: schemas,
-// condition slices, twig shapes, and cost estimates.
+// state (per-operator stats, compiled conjunctions) reset, sharing only
+// the immutable compile-time parts: schemas, condition slices, twig
+// shapes, and cost estimates.
 //
 // Plan nodes accumulate OpStats and compile their conjunctions lazily at
 // open, so a PlanNode tree executes exactly once. The plan cache keeps one
@@ -38,7 +38,7 @@ func ClonePlan(p XPlan) XPlan {
 
 // cloneNode deep-copies a physical operator tree. Each case copies the
 // node's compile-time fields (shared where immutable) and leaves the
-// zero-valued runtime fields (stats, cc, exchange tallies) fresh.
+// zero-valued runtime fields (stats, cc) fresh.
 func cloneNode(n PlanNode) PlanNode {
 	switch n := n.(type) {
 	case *Scan:
@@ -69,16 +69,13 @@ func cloneNode(n PlanNode) PlanNode {
 		return &TwigJoin{Streams: streams, Twig: n.Twig, Conds: n.Conds,
 			OutOrder: n.OutOrder, Est_: n.Est_, schema: n.schema,
 			children: n.children, leafPath: n.leafPath, paths: n.paths, outSlots: n.outSlots}
-	case *Exchange:
-		return &Exchange{Child: cloneScan(n.Child), DOP: n.DOP,
-			MorselRows: n.MorselRows, Est_: n.Est_}
 	default:
 		panic(fmt.Sprintf("exec: cloneNode: unknown operator %T", n))
 	}
 }
 
 // cloneScan copies a leaf scan, preserving its typed identity (INL inners
-// and exchanges hold *Scan, not PlanNode).
+// hold *Scan, not PlanNode).
 func cloneScan(s *Scan) *Scan {
 	return &Scan{Alias: s.Alias, Access: s.Access, Conds: s.Conds,
 		Est_: s.Est_, schema: s.schema}

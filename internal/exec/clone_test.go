@@ -12,7 +12,7 @@ import (
 
 // clonePlanFixture builds a small composite plan exercising every cloneable
 // operator family over a loaded store: scans under filters, loop joins,
-// structural join, twig join, project, sort, and an exchange.
+// structural join, twig join, project, and sort.
 func clonePlanFixture(t *testing.T) (*store.Store, XPlan) {
 	t.Helper()
 	var b strings.Builder
@@ -127,25 +127,5 @@ func TestClonePlanConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestCloneCoversExchange clones a plan with an exchange over a label scan
-// and checks the runtime tallies are not shared.
-func TestCloneCoversExchange(t *testing.T) {
-	scan := NewScan("a", Access{Kind: AccessLabel, Type: xasr.TypeElem, Value: "a"}, nil)
-	ex := NewExchange(scan, 2)
-	ex.MorselRows = 1
-	plan := &XRelFor{Vars: []string{"x"}, Root: ex, Body: &XEmit{Var: "x"}}
-	c := ClonePlan(plan).(*XRelFor)
-	ce, ok := c.Root.(*Exchange)
-	if !ok {
-		t.Fatalf("clone root is %T, want *Exchange", c.Root)
-	}
-	if ce == ex || ce.Child == scan {
-		t.Fatal("clone shares exchange or scan node with original")
-	}
-	if ce.DOP != 2 || ce.MorselRows != 1 {
-		t.Fatalf("clone lost exchange config: %+v", ce)
 	}
 }

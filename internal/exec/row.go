@@ -3,9 +3,9 @@
 // index), selections, order-preserving nested-loops joins, block
 // nested-loops joins, index nested-loops joins, structural merge and
 // holistic twig joins, one-pass duplicate-eliminating projections,
-// external sort, the exchange, and the relfor driver that evaluates the
-// structural part of a TPM plan against a store. Every operator pulls its
-// inputs through one contract, NextBatch (see batch.go).
+// external sort, and the relfor driver that evaluates the structural part
+// of a TPM plan against a store. Every operator pulls its inputs through
+// one contract, NextBatch (see batch.go).
 //
 // Intermediate rows bind one XASR tuple per relation alias. Milestone 3's
 // allowance to "write each intermediate result to disk and re-read it" is
@@ -86,10 +86,6 @@ type Ctx struct {
 	// DefaultBatchSize). Awkward sizes (1, 7) are exercised by the fuzz
 	// harness to shake out batch-boundary bugs.
 	BatchSize int
-	// DOP caps the workers any exchange operator of this query may run
-	// (0 means "as planned"; 1 forces serial execution at runtime even
-	// when the plan carries exchange nodes).
-	DOP int
 	// Counters accumulates runtime statistics for EXPLAIN ANALYZE-style
 	// reporting and tests.
 	Counters Counters
@@ -172,32 +168,6 @@ type Counters struct {
 	Batches int64
 }
 
-// merge folds another tally into c — high-water marks take the maximum,
-// everything else sums. Exchange workers run on private Counters and merge
-// them here, under the gather's close, so no counter field is ever written
-// concurrently.
-func (c *Counters) merge(o *Counters) {
-	c.RowsScanned += o.RowsScanned
-	c.RowsJoined += o.RowsJoined
-	c.RowsEmitted += o.RowsEmitted
-	c.InnerRescans += o.InnerRescans
-	c.IndexProbes += o.IndexProbes
-	c.SortedRows += o.SortedRows
-	c.SpilledTuples += o.SpilledTuples
-	c.RowsStructural += o.RowsStructural
-	if o.StructStackMax > c.StructStackMax {
-		c.StructStackMax = o.StructStackMax
-	}
-	if o.StructListMax > c.StructListMax {
-		c.StructListMax = o.StructListMax
-	}
-	c.RowsTwig += o.RowsTwig
-	c.TwigPathSolutions += o.TwigPathSolutions
-	c.SpilledBytes += o.SpilledBytes
-	c.SpillRuns += o.SpillRuns
-	c.Batches += o.Batches
-}
-
 // OpStats tallies one operator instance's runtime activity while a plan
 // executes; EXPLAIN ANALYZE prints them next to the optimizer estimates.
 // Plans are compiled per query execution, so the tallies belong to exactly
@@ -222,25 +192,6 @@ type OpStats struct {
 	// predicate; Rows/SelRows is the observed selectivity EXPLAIN ANALYZE
 	// prints as sel=.
 	SelRows int64
-}
-
-// merge folds another instance's tallies into s — high-water marks take
-// the maximum, everything else sums. Exchange workers run per-worker scan
-// copies with private stats and merge them into the shared plan node's
-// stats at close.
-func (s *OpStats) merge(o *OpStats) {
-	s.Opens += o.Opens
-	s.Rows += o.Rows
-	if o.StackMax > s.StackMax {
-		s.StackMax = o.StackMax
-	}
-	if o.ListMax > s.ListMax {
-		s.ListMax = o.ListMax
-	}
-	s.SpilledBytes += o.SpilledBytes
-	s.SpillRuns += o.SpillRuns
-	s.Batches += o.Batches
-	s.SelRows += o.SelRows
 }
 
 // resolveIn resolves an in/out-valued operand against the environment and

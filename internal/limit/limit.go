@@ -20,12 +20,11 @@ var ErrCanceled = errors.New("query canceled")
 const checkMask = 1023
 
 // Deadline is a cooperative query deadline. The zero value and the nil
-// pointer never expire, so code can call Check unconditionally. The poll
-// counter is atomic: the workers of one parallel query fragment share a
-// single Deadline and advance it concurrently.
+// pointer never expire, so code can call Check unconditionally. A Deadline
+// belongs to one query and is polled only by the goroutine running it.
 type Deadline struct {
 	at    time.Time
-	count atomic.Int64
+	count int64
 }
 
 // After returns a Deadline expiring d from now. A non-positive d returns
@@ -44,7 +43,8 @@ func (d *Deadline) Check() error {
 	if d == nil || d.at.IsZero() {
 		return nil
 	}
-	if d.count.Add(1)&checkMask != 0 {
+	d.count++
+	if d.count&checkMask != 0 {
 		return nil
 	}
 	if time.Now().After(d.at) {
@@ -62,8 +62,9 @@ func (d *Deadline) CheckN(n int) error {
 	if d == nil || d.at.IsZero() || n <= 0 {
 		return nil
 	}
-	after := d.count.Add(int64(n))
-	if (after-int64(n))&^checkMask == after&^checkMask {
+	before := d.count
+	d.count += int64(n)
+	if before&^checkMask == d.count&^checkMask {
 		return nil
 	}
 	if time.Now().After(d.at) {
@@ -92,10 +93,13 @@ func (d *Deadline) Expired() bool {
 // flag that Check surfaces as ErrCanceled at the next poll, so an
 // in-flight query unwinds through the normal error path — closing
 // iterators, removing temp files, and releasing pins on the way out.
+//
+// Only Cancel and Canceled may be called from another goroutine; everything
+// else belongs to the goroutine running the query.
 type Budget struct {
 	deadline *Deadline
 	quota    int64
-	used     atomic.Int64
+	used     int64
 	canceled atomic.Bool
 }
 
@@ -152,16 +156,11 @@ func (b *Budget) Reserve(n int) bool {
 	if b == nil || n <= 0 {
 		return true
 	}
-	for {
-		cur := b.used.Load()
-		next := cur + int64(n)
-		if b.quota > 0 && next > b.quota {
-			return false
-		}
-		if b.used.CompareAndSwap(cur, next) {
-			return true
-		}
+	if b.quota > 0 && b.used+int64(n) > b.quota {
+		return false
 	}
+	b.used += int64(n)
+	return true
 }
 
 // Release returns n bytes previously taken with Reserve.
@@ -169,11 +168,8 @@ func (b *Budget) Release(n int) {
 	if b == nil || n <= 0 {
 		return
 	}
-	if b.used.Add(-int64(n)) < 0 {
-		// Defensive: never let sloppy accounting free quota that was
-		// never reserved.
-		b.used.Store(0)
-	}
+	// Never let sloppy accounting free quota that was never reserved.
+	b.used = max(b.used-int64(n), 0)
 }
 
 // InUse returns the bytes currently reserved.
@@ -181,7 +177,7 @@ func (b *Budget) InUse() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.used.Load()
+	return b.used
 }
 
 // Quota returns the memory quota in bytes (0 = unlimited).

@@ -120,16 +120,6 @@ type Config struct {
 	// at CPU cost, spilled inners at page cost. 0 uses the recfile
 	// default (4 MiB).
 	SpoolBudget int
-	// DOP is the degree of intra-query parallelism offered to the planner
-	// (0 or 1 = serial). Parallelism is priced like any other physical
-	// choice: an eligible leaf scan is wrapped in an exchange only when
-	// the divided scan/filter CPU beats the worker startup and batch
-	// transfer overhead, so small queries stay serial regardless of DOP.
-	DOP int
-	// ExchangeAll wraps every eligible leaf scan in an exchange with tiny
-	// morsels regardless of cost — a testing hook the fuzz and robustness
-	// harnesses use to force the parallel machinery onto small documents.
-	ExchangeAll bool
 }
 
 // M3 returns the milestone 3 configuration: heuristic optimization only —

@@ -26,16 +26,6 @@ const (
 	// per-record machinery — index probes, nested-loops inner passes,
 	// sorts, spool replay — keeps the full cpuPerTuple.
 	cpuBatchedTuple = cpuPerTuple / 4
-
-	// exchangeStartup is the fixed charge of opening a parallel exchange:
-	// spawning the worker pool, splitting the range into morsels (one
-	// index-only pre-scan for label ranges), and setting up the channels.
-	exchangeStartup = 4.0
-	// cpuExchangeTuple is the per-tuple transfer surcharge of an exchange:
-	// channel sends and loser-tree merge steps happen once per ~1k-row
-	// batch, so per row it is a small fraction of even the batched CPU
-	// charge.
-	cpuExchangeTuple = cpuPerTuple / 8
 )
 
 // Estimator derives cardinality and selectivity estimates from the stored
@@ -105,19 +95,6 @@ func (e *Estimator) calibrateProbe(st *store.Store) {
 // ProbeCost returns the estimated cost of one index probe (a B+-tree
 // descent), calibrated against the buffer pool hit rate at planning time.
 func (e *Estimator) ProbeCost() float64 { return e.probe }
-
-// ExchangeCost prices running a leaf scan of the given serial cost and
-// output rows on dop exchange workers: the scan and residual-filter work
-// divides across the workers, the batch transfer and ordered merge do not,
-// and the pool setup is a fixed charge. An exchange only wins when the
-// divisible work dwarfs the fixed and per-row overhead — exactly the
-// "small queries stay serial" gate.
-func (e *Estimator) ExchangeCost(serial, rows float64, dop int) float64 {
-	if dop < 1 {
-		dop = 1
-	}
-	return exchangeStartup + serial/float64(dop) + rows*cpuExchangeTuple
-}
 
 func (e *Estimator) labelCard(label string) float64 {
 	switch e.mode {

@@ -78,7 +78,6 @@ func (p *Planner) Plan(t tpm.Plan) (exec.XPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		root = p.parallelize(root)
 		body, err := p.Plan(t.Body)
 		if err != nil {
 			return nil, err

@@ -12,10 +12,9 @@
 //	GET    /stats                plan-cache and document statistics
 //
 // Queries accept per-request knobs as URL parameters (mode, timeout,
-// membudget, sortbudget, dop — mapping one-to-one onto
-// core.Config) and a session id; canceling the session aborts its
-// in-flight queries and nothing else, which the per-query engine handles
-// make safe. Responses are JSON by default; format=xml returns the bare
+// membudget, sortbudget — mapping one-to-one onto core.Config) and a
+// session id; canceling the session aborts its in-flight queries and
+// nothing else, which the per-query engine handles make safe. Responses are JSON by default; format=xml returns the bare
 // result document.
 package server
 
@@ -259,7 +258,6 @@ func (s *Server) parseQueryConfig(r *http.Request) (core.Config, error) {
 	}{
 		{"membudget", &cfg.MemBudget},
 		{"sortbudget", &cfg.SortBudget},
-		{"dop", &cfg.DOP},
 	} {
 		if v := q.Get(p.key); v != "" {
 			n, err := strconv.Atoi(v)

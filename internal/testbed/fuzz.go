@@ -44,15 +44,6 @@ type FuzzConfig struct {
 	// stream, so pinned seeds replay the same documents and queries
 	// regardless.
 	BatchSizes []int
-	// DOPs is the intra-query parallelism dimension: iteration i runs every
-	// engine at DOPs[i mod len] workers. Defaults to {1, 2, 4}. For DOP > 1
-	// the optimizer's ExchangeAll hook wraps every eligible leaf scan in an
-	// exchange with single-row morsels regardless of cost — the fuzz
-	// documents are far too small for the cost gate to ever choose
-	// parallelism on its own — so the ordered gather's merge discipline
-	// faces the byte-equivalence check on every query shape. Like
-	// BatchSizes, the dimension draws nothing from the seed stream.
-	DOPs []int
 }
 
 // FuzzMismatch is one query whose result on some engine configuration
@@ -63,7 +54,6 @@ type FuzzMismatch struct {
 	Query   string
 	Engine  string
 	Batch   int // core.Config.BatchSize the engine ran at
-	DOP     int // core.Config.DOP the engine ran at
 	Got     string
 	Want    string
 	GotErr  error
@@ -387,9 +377,6 @@ func RunFuzz(dir string, cfg FuzzConfig) ([]FuzzMismatch, int, error) {
 	if len(cfg.BatchSizes) == 0 {
 		cfg.BatchSizes = []int{0, 1, 7}
 	}
-	if len(cfg.DOPs) == 0 {
-		cfg.DOPs = []int{1, 2, 4}
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	engines := FuzzEngines()
 
@@ -421,21 +408,15 @@ func RunFuzz(dir string, cfg FuzzConfig) ([]FuzzMismatch, int, error) {
 			}
 			ref = core.New(st, core.Config{Mode: core.ModeM2, Timeout: cfg.Timeout})
 		}
-		// The batch-capacity and parallelism dimensions rotate per
-		// iteration, independent of the seed stream.
+		// The batch-capacity dimension rotates per iteration, independent
+		// of the seed stream.
 		batch := cfg.BatchSizes[iter%len(cfg.BatchSizes)]
-		dop := cfg.DOPs[iter%len(cfg.DOPs)]
 		under = under[:0]
 		for i := range engines {
-			c := engines[i].Cfg
-			if dop > 1 {
-				c.DOP = dop
-				c.ExchangeAll = true
-			}
 			under = append(under, core.New(st, core.Config{
-				Mode: core.ModeM4, Opt: &c, Timeout: cfg.Timeout,
+				Mode: core.ModeM4, Opt: &engines[i].Cfg, Timeout: cfg.Timeout,
 				SortBudget: cfg.Budget, MemBudget: cfg.Budget,
-				BatchSize: batch, DOP: dop,
+				BatchSize: batch,
 			}))
 		}
 		gen := &fuzzQueryGen{rng: rng, doc: doc}
@@ -447,8 +428,7 @@ func RunFuzz(dir string, cfg FuzzConfig) ([]FuzzMismatch, int, error) {
 			if got != want || (gotErr == nil) != (wantErr == nil) {
 				mismatches = append(mismatches, FuzzMismatch{
 					Iter: iter, Doc: doc.desc, Query: q, Engine: engines[i].Name,
-					Batch: batch, DOP: dop,
-					Got: got, Want: want, GotErr: gotErr, WantErr: wantErr,
+					Batch: batch, Got: got, Want: want, GotErr: gotErr, WantErr: wantErr,
 				})
 			}
 		}

@@ -54,13 +54,6 @@ type RobustConfig struct {
 	// always runs at the default so every comparison
 	// doubles as a batch-vs-reference equivalence check.
 	BatchSize int
-	// DOP follows core.Config.DOP for the budgeted and deadlined engines
-	// (0 or 1 = serial); the clean reference always runs serial, so a
-	// parallel pass byte-checks exchange output under budget pressure,
-	// fault injection, and mid-exchange deadline aborts. Pair with an Opt
-	// config whose ExchangeAll is set — the suite documents are too small
-	// for the cost gate to pick parallelism on its own.
-	DOP int
 	// Docs are the documents to replay on (default Documents(1)).
 	Docs []Doc
 	// Queries are the queries to replay (default the correctness suite,
@@ -168,12 +161,12 @@ func RunRobustness(dir string, cfg RobustConfig) (RobustReport, error) {
 		budgeted := core.New(st, core.Config{
 			Mode: core.ModeM4, Opt: cfg.Opt, Timeout: cfg.Timeout,
 			SortBudget: cfg.Budget, MemBudget: cfg.Budget,
-			FaultHook: inj.Hook, BatchSize: cfg.BatchSize, DOP: cfg.DOP,
+			FaultHook: inj.Hook, BatchSize: cfg.BatchSize,
 		})
 		deadlined := core.New(st, core.Config{
 			Mode: core.ModeM4, Opt: cfg.Opt, Timeout: cfg.TightDeadline,
 			SortBudget: cfg.Budget, MemBudget: cfg.Budget,
-			FaultHook: inj.Hook, BatchSize: cfg.BatchSize, DOP: cfg.DOP,
+			FaultHook: inj.Hook, BatchSize: cfg.BatchSize,
 		})
 
 		for _, q := range cfg.Queries {

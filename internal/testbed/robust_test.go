@@ -3,10 +3,8 @@ package testbed
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"testing"
-	"time"
 
 	"xqdb/internal/core"
 	"xqdb/internal/opt"
@@ -102,52 +100,6 @@ func TestRobustnessBatchSizes(t *testing.T) {
 	}
 	if rep.Timeouts == 0 {
 		t.Error("tight-deadline pass aborted nothing — per-batch polling not exercised")
-	}
-}
-
-// TestRobustnessParallel replays the robustness harness with the budgeted
-// and deadlined engines at DOP=4 and every eligible leaf scan forced under
-// an exchange (the suite documents are too small for the cost gate to pick
-// parallelism on its own). The clean serial reference byte-checks the
-// ordered gather under a 64 KiB budget — where the exchange's reservation
-// backoff shrinks its in-flight batches — under deterministic I/O faults
-// surfacing mid-exchange, and under tight-deadline aborts that cancel
-// workers with batches in flight. No panics, no leaked temp files or pins,
-// and no leaked worker goroutines.
-func TestRobustnessParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("robustness suite in -short mode")
-	}
-	before := runtime.NumGoroutine()
-	pcfg := opt.M4()
-	pcfg.ExchangeAll = true
-	cfg := RobustConfig{Seed: RobustSeedCI, Opt: &pcfg, DOP: 4}
-	rep, err := RunRobustness(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatalf("parallel robustness harness (seed %d): %v", cfg.Seed, err)
-	}
-	t.Logf("parallel robustness: %d queries, %d fault runs (%d fired, %d clean aborts), %d deadline aborts, spilled=%dB",
-		rep.Queries, rep.FaultRuns, rep.FaultFired, rep.FaultErrors, rep.Timeouts, rep.SpilledBytes)
-	for i, f := range rep.Failures {
-		if i >= 10 {
-			t.Errorf("... and %d more failures", len(rep.Failures)-10)
-			break
-		}
-		t.Errorf("seed=%d dop=4: %s", cfg.Seed, f)
-	}
-	if rep.FaultRuns == 0 || rep.FaultFired == 0 {
-		t.Errorf("fault pass never triggered: %d runs, %d fired", rep.FaultRuns, rep.FaultFired)
-	}
-	if rep.Timeouts == 0 {
-		t.Error("tight-deadline pass aborted nothing — mid-exchange cancellation not exercised")
-	}
-	// Exchange workers must all have unwound, including those cut down
-	// mid-send by faults and deadlines.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("worker goroutines leaked: %d before, %d after", before, after)
 	}
 }
 
@@ -256,7 +208,7 @@ func TestFuzzUnderTinyBudget(t *testing.T) {
 			t.Errorf("... and %d more mismatches", len(mismatches)-10)
 			break
 		}
-		t.Errorf("seed=%d iter=%d doc=%s engine=%s batch=%d dop=%d\nquery: %s\n got: %.160q (err %v)\nwant: %.160q (err %v)",
-			cfg.Seed, m.Iter, m.Doc, m.Engine, m.Batch, m.DOP, m.Query, m.Got, m.GotErr, m.Want, m.WantErr)
+		t.Errorf("seed=%d iter=%d doc=%s engine=%s batch=%d\nquery: %s\n got: %.160q (err %v)\nwant: %.160q (err %v)",
+			cfg.Seed, m.Iter, m.Doc, m.Engine, m.Batch, m.Query, m.Got, m.GotErr, m.Want, m.WantErr)
 	}
 }

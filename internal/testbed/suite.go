@@ -140,10 +140,6 @@ type EffConfig struct {
 	// default. Only the TPM-based modes have a batched executor; M1/M2
 	// ignore it.
 	BatchSize int
-	// DOP follows core.Config.DOP (0 or 1 = serial): the planner of the
-	// TPM-based modes may wrap large leaf scans in exchange operators
-	// running up to this many workers. M1/M2 ignore it.
-	DOP int
 	// PlanCache, when set, is shared by every TPM-based engine in the run
 	// (modes key separately by optimizer config); the caller reads the
 	// hit rate off it afterward. M1/M2 ignore it.
@@ -171,9 +167,6 @@ type EffRow struct {
 	// Batch is the operator batch capacity the engine ran with (core
 	// semantics: 0 = executor default).
 	Batch int
-	// DOP is the intra-query parallelism cap the engine ran with (0 or
-	// 1 = serial).
-	DOP int
 	// SpilledBytes is the engine's total spill traffic across the five
 	// tests (non-zero only when a budget forces operators to disk).
 	SpilledBytes int64
@@ -210,8 +203,8 @@ func RunEfficiency(dir string, cfg EffConfig) ([]EffRow, error) {
 	capSec := cfg.Timeout.Seconds()
 	var rows []EffRow
 	for _, m := range cfg.Modes {
-		row := EffRow{Mode: m, Batch: cfg.BatchSize, DOP: cfg.DOP}
-		e := core.New(st, core.Config{Mode: m, Timeout: cfg.Timeout, SortBudget: cfg.SortBudget, MemBudget: cfg.MemBudget, Opt: cfg.Opt, BatchSize: cfg.BatchSize, DOP: cfg.DOP,
+		row := EffRow{Mode: m, Batch: cfg.BatchSize}
+		e := core.New(st, core.Config{Mode: m, Timeout: cfg.Timeout, SortBudget: cfg.SortBudget, MemBudget: cfg.MemBudget, Opt: cfg.Opt, BatchSize: cfg.BatchSize,
 			PlanCache: cfg.PlanCache, CacheDoc: plancache.DocVersion{Name: "efficiency", Epoch: 1}})
 		for i, test := range tests {
 			var ms runtime.MemStats
@@ -245,9 +238,9 @@ func RunEfficiency(dir string, cfg EffConfig) ([]EffRow, error) {
 // one row per engine, user time per test in seconds, and the total.
 func FormatFigure7(rows []EffRow) string {
 	var b strings.Builder
-	b.WriteString("Engine         batch  dop    Test 1    Test 2    Test 3    Test 4    Test 5     Total\n")
+	b.WriteString("Engine         batch    Test 1    Test 2    Test 3    Test 4    Test 5     Total\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s%5s%5s", r.Mode, batchLabel(r.Batch), dopLabel(r.DOP))
+		fmt.Fprintf(&b, "%-14s%5s", r.Mode, batchLabel(r.Batch))
 		for _, c := range r.Cells {
 			mark := " "
 			if c.TimedOut {
@@ -266,15 +259,6 @@ func FormatFigure7(rows []EffRow) string {
 func batchLabel(n int) string {
 	if n == 0 {
 		n = exec.DefaultBatchSize
-	}
-	return fmt.Sprint(n)
-}
-
-// dopLabel renders a core.Config.DOP value for the table (0 and 1 are
-// both serial).
-func dopLabel(n int) string {
-	if n < 2 {
-		return "1"
 	}
 	return fmt.Sprint(n)
 }

@@ -423,34 +423,3 @@ func truncate(s string, n int) string {
 	}
 	return s[:n] + "…"
 }
-
-// TestParallelEquivalenceSuite runs a serial cost-based planner against
-// one whose every eligible leaf scan executes under a 4-worker exchange
-// with single-row morsels (ExchangeAll — the suite documents are far too
-// small for the cost gate to pick parallelism on its own), over the full
-// correctness suite and the efficiency queries on all four documents.
-// Byte-identical serialized results mean the ordered gather reproduces
-// the serial scan's document-ordered stream exactly, under every join
-// family the auction picks above it.
-func TestParallelEquivalenceSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence suite in -short mode")
-	}
-	serial := opt.M4()
-	par := opt.M4()
-	par.DOP = 4
-	par.ExchangeAll = true
-
-	queries := append([]string(nil), CorrectnessQueries()...)
-	for _, et := range EfficiencyTests() {
-		queries = append(queries, et.Query)
-	}
-	mismatches, err := RunEquivalence(t.TempDir(), Documents(1), queries, serial, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range mismatches {
-		t.Errorf("%s / %q: serial %q (err %v) != dop=4 %q (err %v)",
-			m.Doc, m.Query, truncate(m.A, 120), m.ErrA, truncate(m.B, 120), m.ErrB)
-	}
-}
