@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"xqdb/internal/limit"
+	"xqdb/internal/plancache"
 	"xqdb/internal/store"
 )
 
@@ -70,5 +71,23 @@ func TestCancelAbortsQuery(t *testing.T) {
 	}
 	if out != "<hit/>" {
 		t.Fatalf("query after cancel returned %q", out)
+	}
+}
+
+// TestCancelBeforeQuerySkipsPlanning cancels a handle before its query
+// starts: the query's budget exists before planning, so the planner stops
+// at its first poll, the query returns the cancellation error, and no plan
+// reaches the cache.
+func TestCancelBeforeQuerySkipsPlanning(t *testing.T) {
+	st := concurrentFixture(t, 50)
+	cache := plancache.New(16)
+	e := New(st, Config{Mode: ModeM4, PlanCache: cache})
+	h := e.NewHandle()
+	h.Cancel()
+	if _, err := h.Query(`for $x in //x return $x`); !errors.Is(err, limit.ErrCanceled) {
+		t.Fatalf("query on a canceled handle returned %v, want %v", err, limit.ErrCanceled)
+	}
+	if puts := cache.Stats().Puts; puts != 0 {
+		t.Errorf("canceled query put %d plans into the cache, want 0", puts)
 	}
 }

@@ -254,8 +254,8 @@ func TestQueryPlanCache(t *testing.T) {
 }
 
 // TestQueryPlanCacheConcurrent runs the same cached query from many
-// goroutines: every execution clones the pristine plan, so under -race
-// this proves cached plans share no mutable state.
+// goroutines: every execution runs the one shared cached plan on its own
+// context, so under -race this proves a shared cached plan is safe.
 func TestQueryPlanCacheConcurrent(t *testing.T) {
 	st := concurrentFixture(t, 300)
 	e := New(st, Config{Mode: ModeM4, PlanCache: plancache.New(16),

@@ -106,8 +106,9 @@ type Config struct {
 	// PlanCache, when set, caches compiled plans for the milestone 3/4
 	// modes, keyed by CacheDoc, the normalized query text, and the
 	// planner-relevant configuration; hits skip parse+optimize entirely.
-	// The engine stores pristine plans and executes clones, so one cache
-	// may serve many engines and concurrent queries.
+	// A plan never changes once built and each run keeps its state in its
+	// own exec.Ctx, so one cached plan serves many engines and concurrent
+	// queries as is.
 	PlanCache *plancache.Cache
 	// CacheDoc identifies the document (catalog name + stats epoch) this
 	// engine's store serves, for plan-cache keying. Required whenever
@@ -118,6 +119,10 @@ type Config struct {
 
 // ErrBatchSize rejects a negative Config.BatchSize.
 var ErrBatchSize = errors.New("core: negative BatchSize")
+
+// ErrNoPlan rejects ExplainAnalyze in the milestone 1/2 modes, which
+// evaluate queries without a physical plan.
+var ErrNoPlan = errors.New("core: no physical plan to analyze")
 
 // Engine evaluates XQ queries over one stored document under a fixed
 // configuration. All methods are safe for concurrent use.
@@ -195,10 +200,10 @@ type Result struct {
 
 // Handle runs queries with a per-query Cancel. A Handle is cheap; sessions
 // create one per request so canceling one request cannot abort another.
-// Cancel may be called from any goroutine, before or during Query: a
-// cancel that arrives before execution starts aborts the query at its
-// first budget poll. M1/M2 queries are not cancelable (they are bounded by
-// Timeout only).
+// Cancel may be called from any goroutine, before or during Query: the
+// query's budget exists before planning starts, so a cancel aborts the
+// query at its first budget poll, in the planner or in the executor.
+// M1/M2 queries are not cancelable (they are bounded by Timeout only).
 type Handle struct {
 	e        *Engine
 	mu       sync.Mutex
@@ -255,36 +260,30 @@ func (h *Handle) Query(src string) (*Result, error) {
 		}
 		return &Result{XML: out}, nil
 	}
-	dl := limit.After(e.cfg.Timeout)
+	ctx, err := e.begin(h)
+	if err != nil {
+		return nil, err
+	}
+	defer e.end(ctx, h)
 	key, cached := e.cacheKey(src)
-	if cached {
-		if plan, hit := e.cfg.PlanCache.Get(key); hit {
-			out, counters, err := e.runPlan(exec.ClonePlan(plan), dl, h)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{XML: string(out), Counters: counters, CacheHit: true}, nil
+	plan, hit := e.cfg.PlanCache.Get(key)
+	if !hit {
+		q, err := xq.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		if plan, err = e.compile(q, ctx.Budget); err != nil {
+			return nil, err
+		}
+		if cached {
+			e.cfg.PlanCache.Put(key, plan)
 		}
 	}
-	q, err := xq.Parse(src)
+	out, err := e.run(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	xplan, err := e.compile(q, dl)
-	if err != nil {
-		return nil, err
-	}
-	if cached {
-		// Store the pristine tree and run a clone: plan nodes accumulate
-		// runtime state, so the cached plan itself must never execute.
-		e.cfg.PlanCache.Put(key, xplan)
-		xplan = exec.ClonePlan(xplan)
-	}
-	out, counters, err := e.runPlan(xplan, dl, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{XML: string(out), Counters: counters}, nil
+	return &Result{XML: string(out), Counters: ctx.Counters, CacheHit: hit}, nil
 }
 
 // cacheKey returns the plan-cache key for a query text, and whether the
@@ -319,7 +318,7 @@ func (e *Engine) QueryExpr(q xq.Expr) (string, error) {
 	case ModeM1, ModeM2:
 		return e.evalDirect(q)
 	}
-	out, _, _, err := e.compileAndRun(q, limit.After(e.cfg.Timeout), nil)
+	out, _, _, err := e.compileAndRun(q)
 	if err != nil {
 		return "", err
 	}
@@ -346,54 +345,44 @@ func (e *Engine) evalDirect(q xq.Expr) (string, error) {
 	}
 }
 
-// compileAndRun is the shared milestone 3/4 execution path: compile to a
-// physical plan, execute it, and record the run's counters. Query and
-// ExplainAnalyze both go through it so analyzed runs execute under exactly
-// the conditions of real queries.
-func (e *Engine) compileAndRun(q xq.Expr, dl *limit.Deadline, h *Handle) ([]byte, exec.XPlan, exec.Counters, error) {
-	xplan, err := e.compile(q, dl)
+// compileAndRun is the uncached milestone 3/4 path: compile to a
+// physical plan and execute it under one per-query context. QueryExpr and
+// ExplainAnalyze both go through it so analyzed runs execute under
+// exactly the conditions of real queries.
+func (e *Engine) compileAndRun(q xq.Expr) ([]byte, exec.XPlan, *exec.Ctx, error) {
+	ctx, err := e.begin(nil)
 	if err != nil {
-		return nil, nil, exec.Counters{}, err
+		return nil, nil, nil, err
 	}
-	out, counters, err := e.runPlan(xplan, dl, h)
-	return out, xplan, counters, err
+	defer e.end(ctx, nil)
+	xplan, err := e.compile(q, ctx.Budget)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	out, err := e.run(ctx, xplan)
+	return out, xplan, ctx, err
 }
 
-// runPlan executes a compiled plan under a fresh per-query budget,
-// registered in the in-flight set (for Engine.Cancel) and attached to h
-// (for per-query cancel) for the duration of the run.
-func (e *Engine) runPlan(xplan exec.XPlan, dl *limit.Deadline, h *Handle) ([]byte, exec.Counters, error) {
-	ctx, budget, err := e.execCtx(dl)
-	if err != nil {
-		return nil, exec.Counters{}, err
-	}
-	if h != nil {
-		h.attach(budget)
-	}
-	out, err := exec.Run(ctx, xplan)
-	if h != nil {
-		h.detach()
-	}
-	e.mu.Lock()
-	delete(e.inflight, budget)
-	e.last = ctx.Counters
-	e.mu.Unlock()
-	return out, ctx.Counters, err
-}
-
-func (e *Engine) execCtx(dl *limit.Deadline) (*exec.Ctx, *limit.Budget, error) {
+// begin creates one query's execution context around a fresh budget
+// under the engine's timeout. The budget is registered in the in-flight
+// set (for Engine.Cancel) and attached to h (for per-query cancel) until
+// end, so a cancel reaches planning as well as execution.
+func (e *Engine) begin(h *Handle) (*exec.Ctx, error) {
 	if e.cfg.BatchSize < 0 {
-		return nil, nil, ErrBatchSize
+		return nil, ErrBatchSize
 	}
 	tmp, err := e.st.TempDir()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	budget := limit.NewBudget(e.cfg.MemBudget, dl)
+	budget := limit.NewBudget(e.cfg.MemBudget, limit.After(e.cfg.Timeout))
 	e.mu.Lock()
 	e.inflight[budget] = struct{}{}
 	e.mu.Unlock()
-	ctx := &exec.Ctx{
+	if h != nil {
+		h.attach(budget)
+	}
+	return &exec.Ctx{
 		Store:      e.st,
 		TempDir:    tmp,
 		Budget:     budget,
@@ -401,8 +390,27 @@ func (e *Engine) execCtx(dl *limit.Deadline) (*exec.Ctx, *limit.Budget, error) {
 		SortBudget: e.cfg.SortBudget,
 		FaultHook:  e.cfg.FaultHook,
 		BatchSize:  e.cfg.BatchSize,
+	}, nil
+}
+
+// end releases what begin registered.
+func (e *Engine) end(ctx *exec.Ctx, h *Handle) {
+	if h != nil {
+		h.detach()
 	}
-	return ctx, budget, nil
+	e.mu.Lock()
+	delete(e.inflight, ctx.Budget)
+	e.mu.Unlock()
+}
+
+// run executes a compiled plan on ctx and keeps the run's counters as the
+// engine's last.
+func (e *Engine) run(ctx *exec.Ctx, xplan exec.XPlan) ([]byte, error) {
+	out, err := exec.Run(ctx, xplan)
+	e.mu.Lock()
+	e.last = ctx.Counters
+	e.mu.Unlock()
+	return out, err
 }
 
 // Cancel aborts every in-flight query on the engine: each one's next
@@ -423,14 +431,14 @@ func (e *Engine) Cancel() {
 }
 
 // compile runs the milestone 3/4 pipeline up to the executable plan. The
-// query's deadline bounds planning as it bounds execution.
-func (e *Engine) compile(q xq.Expr, dl *limit.Deadline) (exec.XPlan, error) {
+// query's budget bounds planning as it bounds execution.
+func (e *Engine) compile(q xq.Expr, budget *limit.Budget) (exec.XPlan, error) {
 	plan := tpm.Rewrite(q)
 	if e.merging() {
 		plan = tpm.Merge(plan)
 	}
 	planner := opt.New(e.st, e.optConfig())
-	planner.Deadline = dl
+	planner.Budget = budget
 	return planner.Plan(plan)
 }
 
@@ -450,17 +458,17 @@ func (e *Engine) ExplainAnalyze(src string) (string, error) {
 	}
 	switch e.cfg.Mode {
 	case ModeM1, ModeM2:
-		return "", fmt.Errorf("core: %s has no physical plan to analyze", e.cfg.Mode)
+		return "", fmt.Errorf("%w: %s evaluates queries directly", ErrNoPlan, e.cfg.Mode)
 	}
 	e.st.ReadLock()
 	defer e.st.ReadUnlock()
-	out, xplan, counters, err := e.compileAndRun(q, limit.After(e.cfg.Timeout), nil)
+	out, xplan, ctx, err := e.compileAndRun(q)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine: %s\nquery:  %s\n\n-- physical plan (analyzed) --\n", e.cfg.Mode, q)
-	b.WriteString(exec.ExplainAnalyze(xplan, counters))
+	b.WriteString(exec.ExplainAnalyze(xplan, ctx))
 	fmt.Fprintf(&b, "result: %d bytes\n", len(out))
 	return b.String(), nil
 }

@@ -21,8 +21,9 @@ type Batch struct {
 	// Cols holds one column per row slot; every column has n entries.
 	Cols [][]xasr.Tuple
 	// Sel, when non-nil, is a selection vector: the physical row indices
-	// (into Cols) that survived a filter, in order. nil selects all n
-	// rows. Filtering sets Sel instead of compacting, so no rows move.
+	// (into Cols) that survived a selection — a deduplicating projection's
+	// — in order. nil selects all n rows. Selecting sets Sel instead of
+	// compacting, so no rows move.
 	Sel []int32
 	// limit, when positive, is the consumer's bound on the rows it wants
 	// from the next NextBatch: an existence check asks for one row, an

@@ -91,10 +91,6 @@ var batchCases = []struct {
 	{"project-dedup", distinctQuery, distinctVars, 0, func(*testing.T) PlanNode {
 		return NewProject(NewINLJoin(labelScan("A", "a"), descProbe(), nil), []string{"A"}, true)
 	}},
-	{"filter", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
-		cross := NewNLJoin(labelScan("A", "a"), labelScan("B", "b"), nil)
-		return &Filter{Child: cross, Conds: descConds()}
-	}},
 	{"stack-tree-desc+sort", pairsQuery, pairsVars, 0, func(*testing.T) PlanNode {
 		sj := NewStructuralJoin(labelScan("A", "a"), labelScan("B", "b"), descPred("A", "B"), nil)
 		return NewSort(sj, []string{"A", "B"}, false)

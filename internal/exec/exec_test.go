@@ -247,3 +247,24 @@ func TestSpoolSpillsToDisk(t *testing.T) {
 		t.Error("spool never spilled despite tiny budget")
 	}
 }
+
+// TestUnknownAttributeFailsAtOpen builds operators whose conditions name a
+// relation outside their schema: building compiles the conditions, and
+// the failure surfaces as an error from open, never as a panic.
+func TestUnknownAttributeFailsAtOpen(t *testing.T) {
+	ctx := testCtx(t, figure2)
+	bad := []tpm.Cmp{tpm.Eq(tpm.AttrOp("Z", tpm.ColIn), tpm.AttrOp("A", tpm.ColIn))}
+	for _, n := range []PlanNode{
+		NewScan("A", Access{Kind: AccessFull}, bad),
+		NewNLJoin(labelScan("A", "name"), labelScan("B", "title"), bad),
+		NewINLJoin(labelScan("A", "name"), labelScan("B", "title"), bad),
+		NewStructuralJoin(labelScan("A", "journal"), labelScan("B", "name"), descPred("A", "B"), bad),
+	} {
+		if it, err := n.open(ctx, nil, nil); err == nil || !strings.Contains(err.Error(), "not in schema") {
+			if it != nil {
+				it.Close()
+			}
+			t.Errorf("%s: open returned %v, want an unknown-attribute error", n.Describe(), err)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 // the output of `xqdb explain` and the plan snapshots in EXPERIMENTS.md.
 func Explain(p XPlan) string {
 	var b strings.Builder
-	explainX(&b, p, 0, false)
+	explainX(&b, p, 0, nil)
 	return b.String()
 }
 
@@ -20,7 +20,8 @@ func pad(b *strings.Builder, depth int) {
 	}
 }
 
-func explainX(b *strings.Builder, p XPlan, depth int, analyze bool) {
+// explainX renders p; a non-nil run adds its per-operator tallies.
+func explainX(b *strings.Builder, p XPlan, depth int, run *Ctx) {
 	pad(b, depth)
 	switch p := p.(type) {
 	case XEmpty:
@@ -31,25 +32,25 @@ func explainX(b *strings.Builder, p XPlan, depth int, analyze bool) {
 		fmt.Fprintf(b, "emit($%s)\n", p.Var)
 	case *XConstr:
 		fmt.Fprintf(b, "constr(%s)\n", p.Label)
-		explainX(b, p.Body, depth+1, analyze)
+		explainX(b, p.Body, depth+1, run)
 	case *XSeq:
 		b.WriteString("seq\n")
 		for _, it := range p.Items {
-			explainX(b, it, depth+1, analyze)
+			explainX(b, it, depth+1, run)
 		}
 	case *XIf:
 		fmt.Fprintf(b, "if[runtime] %s\n", p.Cond)
-		explainX(b, p.Then, depth+1, analyze)
+		explainX(b, p.Then, depth+1, run)
 	case *XRelFor:
 		vars := make([]string, len(p.Vars))
 		for i, v := range p.Vars {
 			vars[i] = "$" + v
 		}
 		fmt.Fprintf(b, "relfor (%s)\n", strings.Join(vars, ", "))
-		explainNode(b, p.Root, depth+1, analyze)
+		explainNode(b, p.Root, depth+1, run)
 		pad(b, depth+1)
 		b.WriteString("return\n")
-		explainX(b, p.Body, depth+2, analyze)
+		explainX(b, p.Body, depth+2, run)
 	default:
 		fmt.Fprintf(b, "?%T\n", p)
 	}
@@ -57,12 +58,12 @@ func explainX(b *strings.Builder, p XPlan, depth int, analyze bool) {
 
 // ExplainNode renders one physical operator subtree.
 func ExplainNode(b *strings.Builder, n PlanNode, depth int) {
-	explainNode(b, n, depth, false)
+	explainNode(b, n, depth, nil)
 }
 
-func explainNode(b *strings.Builder, n PlanNode, depth int, analyze bool) {
+func explainNode(b *strings.Builder, n PlanNode, depth int, run *Ctx) {
 	indent := strings.Repeat("  ", depth)
-	explainNodePrefixed(b, n, indent, indent, analyze)
+	explainNodePrefixed(b, n, indent, indent, run)
 }
 
 // explainNodePrefixed renders a node line and its children with tree
@@ -70,7 +71,7 @@ func explainNode(b *strings.Builder, n PlanNode, depth int, analyze bool) {
 // every following line of the subtree — so k-ary operators (the twig
 // join's per-stream inputs) indent correctly, with ├─/└─ branches and │
 // continuation rails for all children beyond the first two.
-func explainNodePrefixed(b *strings.Builder, n PlanNode, head, rest string, analyze bool) {
+func explainNodePrefixed(b *strings.Builder, n PlanNode, head, rest string, run *Ctx) {
 	b.WriteString(head)
 	est := n.Estimate()
 	if est.Rows != 0 || est.Cost != 0 {
@@ -78,8 +79,8 @@ func explainNodePrefixed(b *strings.Builder, n PlanNode, head, rest string, anal
 	} else {
 		fmt.Fprintf(b, "%s", n.Describe())
 	}
-	if analyze {
-		st := n.Stats()
+	if run != nil {
+		st := run.Stats(n)
 		fmt.Fprintf(b, "  (actual rows=%d opens=%d", st.Rows, st.Opens)
 		if st.Batches > 0 {
 			fmt.Fprintf(b, " batches=%d", st.Batches)
@@ -107,18 +108,17 @@ func explainNodePrefixed(b *strings.Builder, n PlanNode, head, rest string, anal
 		if i == len(children)-1 {
 			glyph, cont = "└─ ", "   "
 		}
-		explainNodePrefixed(b, ch, rest+glyph, rest+cont, analyze)
+		explainNodePrefixed(b, ch, rest+glyph, rest+cont, run)
 	}
 }
 
-// ExplainAnalyze renders an executed plan: the operator tree with the
-// optimizer estimates AND the per-operator runtime tallies collected
-// during the run, followed by the query-wide counters. The plan must have
-// been executed with Run first (a compiled plan runs at most once in the
-// engine, so the tallies belong to that run).
-func ExplainAnalyze(p XPlan, c Counters) string {
+// ExplainAnalyze renders one executed run of a plan: the operator tree
+// with the optimizer estimates AND the per-operator tallies the run ctx
+// collected, followed by the run's query-wide counters.
+func ExplainAnalyze(p XPlan, run *Ctx) string {
 	var b strings.Builder
-	explainX(&b, p, 0, true)
+	explainX(&b, p, 0, run)
+	c := run.Counters
 	fmt.Fprintf(&b, "\ncounters: scanned=%d joined=%d structural=%d twig=%d emitted=%d\n",
 		c.RowsScanned, c.RowsJoined, c.RowsStructural, c.RowsTwig, c.RowsEmitted)
 	fmt.Fprintf(&b, "          probes=%d rescans=%d sorted=%d spilled=%d stack-max=%d list-max=%d path-solutions=%d\n",

@@ -22,11 +22,10 @@ type PlanNode interface {
 	Describe() string
 	// Estimate returns the optimizer's row/cost estimates (may be zero).
 	Estimate() Est
-	// Stats returns the operator's runtime tallies (EXPLAIN ANALYZE).
-	Stats() *OpStats
-	// open returns the operator's batch iterator; outer/outerSchema are
-	// non-nil only for the parameterized inner side of an index
-	// nested-loops join.
+	// open returns the operator's batch iterator for the run ctx;
+	// outer/outerSchema are non-nil only for the parameterized inner side
+	// of an index nested-loops join. open never changes the node: the run
+	// keeps its state in ctx and the iterator.
 	open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error)
 }
 
@@ -107,18 +106,15 @@ type Scan struct {
 	Conds []tpm.Cmp
 	Est_  Est
 
-	schema *Schema
-	stats  OpStats
-	cc     compiledConds
-	// lbuf is the label-entry scratch a label scan expands into tuples;
-	// like cc it lives on the node so an INL inner, reopened per outer row,
-	// allocates it once.
-	lbuf []store.LabelEntry
+	schema   *Schema
+	compiled compiledConds
 }
 
 // NewScan builds a scan node.
 func NewScan(alias string, access Access, conds []tpm.Cmp) *Scan {
-	return &Scan{Alias: alias, Access: access, Conds: conds, schema: NewSchema(alias)}
+	schema := NewSchema(alias)
+	return &Scan{Alias: alias, Access: access, Conds: conds, schema: schema,
+		compiled: compileConds(conds, schema)}
 }
 
 // Schema implements PlanNode.
@@ -129,9 +125,6 @@ func (s *Scan) Children() []PlanNode { return nil }
 
 // Estimate implements PlanNode.
 func (s *Scan) Estimate() Est { return s.Est_ }
-
-// Stats implements PlanNode.
-func (s *Scan) Stats() *OpStats { return &s.stats }
 
 // Describe implements PlanNode.
 func (s *Scan) Describe() string {
@@ -154,6 +147,16 @@ func condsString(conds []tpm.Cmp) string {
 }
 
 func (s *Scan) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
+	return s.openInto(ctx, &scanIter{run: ctx.record(s)}, outer, outerSchema)
+}
+
+// openInto opens the scan into it, whose run field already holds the
+// scan's profile record. An INL join reopens its inner into one scanIter,
+// with the record it looked up once, for every outer row.
+func (s *Scan) openInto(ctx *Ctx, it *scanIter, outer Row, outerSchema *Schema) (batchIter, error) {
+	if s.compiled.err != nil {
+		return nil, s.compiled.err
+	}
 	var lo, hi uint32
 	if s.Access.Bounded {
 		v, err := resolveIn(s.Access.Lo, outer, outerSchema, ctx.Env)
@@ -169,11 +172,8 @@ func (s *Scan) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error)
 			hi = hv + s.Access.HiAdd
 		}
 	}
-	s.stats.Opens++
-	if err := s.cc.compile(s.Conds, s.schema); err != nil {
-		return nil, err
-	}
-	it := &scanIter{ctx: ctx, scan: s}
+	*it = scanIter{ctx: ctx, scan: s, run: it.run}
+	it.run.Opens++
 	switch s.Access.Kind {
 	case AccessFull:
 		c, err := ctx.Store.OpenRange(0, 0)
@@ -223,6 +223,7 @@ func (emptyIter) Close() error                  { return nil }
 type scanIter struct {
 	ctx   *Ctx
 	scan  *Scan
+	run   *opRun
 	prim  *store.TupleCursor
 	label *store.LabelRangeCursor
 	child *store.ChildCursor
@@ -258,10 +259,10 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 		case it.prim != nil:
 			n, err = it.prim.NextBatch(col)
 		case it.label != nil:
-			if cap(it.scan.lbuf) < capRows {
-				it.scan.lbuf = make([]store.LabelEntry, capRows)
+			if cap(it.run.lbuf) < capRows {
+				it.run.lbuf = make([]store.LabelEntry, capRows)
 			}
-			lb := it.scan.lbuf[:capRows]
+			lb := it.run.lbuf[:capRows]
 			n, err = it.label.NextBatch(lb)
 			for i := 0; i < n; i++ {
 				e := lb[i]
@@ -283,10 +284,10 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 		it.ctx.Counters.RowsScanned += int64(n)
 		kept := n
 		if len(conds) > 0 {
-			it.scan.stats.SelRows += int64(n)
+			it.run.SelRows += int64(n)
 			kept = 0
 			for i := 0; i < n; i++ {
-				pass, err := it.scan.cc.eval(col[i:i+1], it.ctx.Env)
+				pass, err := it.scan.compiled.eval(col[i:i+1], it.ctx.Env)
 				if err != nil {
 					return 0, err
 				}
@@ -301,7 +302,7 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 		}
 		b.Cols[0] = col[:kept]
 		b.n = kept
-		return it.ctx.produced(&it.scan.stats, kept), nil
+		return it.ctx.produced(&it.run.OpStats, kept), nil
 	}
 }
 
@@ -336,93 +337,6 @@ func (it *scanIter) seekInGE(target uint32) (bool, error) {
 	// Child cursors cover one parent's few children; skipping buys nothing.
 	return false, nil
 }
-
-// ---------------------------------------------------------------- filter
-
-// Filter applies residual conditions.
-type Filter struct {
-	Child PlanNode
-	Conds []tpm.Cmp
-	Est_  Est
-
-	stats OpStats
-	cc    compiledConds
-}
-
-// Schema implements PlanNode.
-func (f *Filter) Schema() *Schema { return f.Child.Schema() }
-
-// Children implements PlanNode.
-func (f *Filter) Children() []PlanNode { return []PlanNode{f.Child} }
-
-// Estimate implements PlanNode.
-func (f *Filter) Estimate() Est { return f.Est_ }
-
-// Stats implements PlanNode.
-func (f *Filter) Stats() *OpStats { return &f.stats }
-
-// Describe implements PlanNode.
-func (f *Filter) Describe() string { return fmt.Sprintf("filter σ(%s)", condsString(f.Conds)) }
-
-func (f *Filter) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
-	child, err := f.Child.open(ctx, outer, outerSchema)
-	if err != nil {
-		return nil, err
-	}
-	f.stats.Opens++
-	if err := f.cc.compile(f.Conds, f.Schema()); err != nil {
-		child.Close()
-		return nil, err
-	}
-	return &filterIter{ctx: ctx, f: f, child: child}, nil
-}
-
-type filterIter struct {
-	ctx    *Ctx
-	f      *Filter
-	child  batchIter
-	selbuf []int32
-	rbuf   Row
-}
-
-// NextBatch evaluates the residual conjunction over a whole child batch
-// and publishes the qualifying rows as a selection vector — no row is
-// copied or moved. It keeps pulling until a batch with at least one
-// qualifying row arrives or the child ends.
-func (it *filterIter) NextBatch(b *Batch) (int, error) {
-	for {
-		n, err := it.child.NextBatch(b)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		it.f.stats.SelRows += int64(n)
-		sel := it.selbuf[:0]
-		for i := 0; i < n; i++ {
-			row := b.row(i, it.rbuf)
-			if len(b.Cols) > 1 {
-				it.rbuf = row
-			}
-			pass, err := it.f.cc.eval(row, it.ctx.Env)
-			if err != nil {
-				return 0, err
-			}
-			if pass {
-				sel = append(sel, int32(b.rowIdx(i)))
-			}
-		}
-		it.selbuf = sel
-		if len(sel) == 0 {
-			continue
-		}
-		b.Sel = sel
-		return it.ctx.produced(&it.f.stats, len(sel)), nil
-	}
-}
-
-func (it *filterIter) Close() error { return it.child.Close() }
 
 // ---------------------------------------------------------------- spool
 
@@ -566,15 +480,15 @@ type NLJoin struct {
 	BlockRows   int
 	Est_        Est
 
-	schema *Schema
-	stats  OpStats
-	cc     compiledConds
+	schema   *Schema
+	compiled compiledConds
 }
 
 // NewNLJoin builds a tuple nested-loops join node.
 func NewNLJoin(left, right PlanNode, conds []tpm.Cmp) *NLJoin {
-	return &NLJoin{Left: left, Right: right, Conds: conds,
-		schema: left.Schema().Concat(right.Schema())}
+	schema := left.Schema().Concat(right.Schema())
+	return &NLJoin{Left: left, Right: right, Conds: conds, schema: schema,
+		compiled: compileConds(conds, schema)}
 }
 
 // NewBNLJoin builds a block nested-loops join node.
@@ -596,9 +510,6 @@ func (j *NLJoin) Children() []PlanNode { return []PlanNode{j.Left, j.Right} }
 // Estimate implements PlanNode.
 func (j *NLJoin) Estimate() Est { return j.Est_ }
 
-// Stats implements PlanNode.
-func (j *NLJoin) Stats() *OpStats { return &j.stats }
-
 // Describe implements PlanNode.
 func (j *NLJoin) Describe() string {
 	if j.BlockRows == 0 {
@@ -608,18 +519,18 @@ func (j *NLJoin) Describe() string {
 }
 
 func (j *NLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error) {
+	if j.compiled.err != nil {
+		return nil, j.compiled.err
+	}
 	left, err := j.Left.open(ctx, outer, outerSchema)
 	if err != nil {
 		return nil, err
 	}
 	// The inner is materialized lazily, on the first outer row: an empty
 	// outer (e.g. a scan for a non-existent label) must cost nothing.
-	j.stats.Opens++
-	if err := j.cc.compile(j.Conds, j.schema); err != nil {
-		left.Close()
-		return nil, err
-	}
-	return &nlJoinIter{ctx: ctx, j: j, left: rowView{src: left}, outer: outer, outerSchema: outerSchema}, nil
+	st := &ctx.record(j).OpStats
+	st.Opens++
+	return &nlJoinIter{ctx: ctx, j: j, st: st, left: rowView{src: left}, outer: outer, outerSchema: outerSchema}, nil
 }
 
 // materializeInner spools the full inner input once. On error the spool's
@@ -664,6 +575,7 @@ func materializeInner(ctx *Ctx, inner PlanNode, outer Row, outerSchema *Schema, 
 type nlJoinIter struct {
 	ctx         *Ctx
 	j           *NLJoin
+	st          *OpStats
 	left        rowView
 	outer       Row
 	outerSchema *Schema
@@ -713,7 +625,7 @@ func (it *nlJoinIter) NextBatch(out *Batch) (int, error) {
 				break
 			}
 			if it.sp == nil {
-				sp, err := materializeInner(it.ctx, it.j.Right, it.outer, it.outerSchema, &it.j.stats)
+				sp, err := materializeInner(it.ctx, it.j.Right, it.outer, it.outerSchema, it.st)
 				if err != nil {
 					return 0, err
 				}
@@ -748,7 +660,7 @@ func (it *nlJoinIter) NextBatch(out *Batch) (int, error) {
 		for it.bIdx < len(it.block) && out.n < capRows {
 			it.joined = append(append(it.joined[:0], it.block[it.bIdx]...), rRow...)
 			it.bIdx++
-			pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
+			pass, err := it.j.compiled.eval(it.joined, it.ctx.Env)
 			if err != nil {
 				return 0, err
 			}
@@ -762,7 +674,7 @@ func (it *nlJoinIter) NextBatch(out *Batch) (int, error) {
 		}
 	}
 	it.ctx.Counters.RowsJoined += int64(out.n)
-	return it.ctx.produced(&it.j.stats, out.n), nil
+	return it.ctx.produced(it.st, out.n), nil
 }
 
 func (it *nlJoinIter) Close() error {
@@ -788,15 +700,15 @@ type INLJoin struct {
 	Conds []tpm.Cmp
 	Est_  Est
 
-	schema *Schema
-	stats  OpStats
-	cc     compiledConds
+	schema   *Schema
+	compiled compiledConds
 }
 
 // NewINLJoin builds an index nested-loops join node.
 func NewINLJoin(left PlanNode, inner *Scan, conds []tpm.Cmp) *INLJoin {
-	return &INLJoin{Left: left, Inner: inner, Conds: conds,
-		schema: left.Schema().Concat(inner.Schema())}
+	schema := left.Schema().Concat(inner.Schema())
+	return &INLJoin{Left: left, Inner: inner, Conds: conds, schema: schema,
+		compiled: compileConds(conds, schema)}
 }
 
 // Schema implements PlanNode.
@@ -807,9 +719,6 @@ func (j *INLJoin) Children() []PlanNode { return []PlanNode{j.Left, j.Inner} }
 
 // Estimate implements PlanNode.
 func (j *INLJoin) Estimate() Est { return j.Est_ }
-
-// Stats implements PlanNode.
-func (j *INLJoin) Stats() *OpStats { return &j.stats }
 
 // Describe implements PlanNode.
 func (j *INLJoin) Describe() string {
@@ -825,23 +734,28 @@ func (j *INLJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, err
 		// Nested INL: compose schemas so inner bounds can reference both.
 		return nil, fmt.Errorf("exec: INL join cannot itself be an INL inner")
 	}
+	if j.compiled.err != nil {
+		return nil, j.compiled.err
+	}
 	left, err := j.Left.open(ctx, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	j.stats.Opens++
-	if err := j.cc.compile(j.Conds, j.schema); err != nil {
-		left.Close()
-		return nil, err
-	}
-	return &inlJoinIter{ctx: ctx, j: j, left: rowView{src: left}}, nil
+	st := &ctx.record(j).OpStats
+	st.Opens++
+	it := &inlJoinIter{ctx: ctx, j: j, st: st, left: rowView{src: left}}
+	it.probe.run = ctx.record(j.Inner)
+	return it, nil
 }
 
 type inlJoinIter struct {
 	ctx  *Ctx
 	j    *INLJoin
+	st   *OpStats
 	left rowView
-	lRow Row // current outer row (valid until the next left.next)
+	// probe is the inner scan's iterator, reopened per outer row.
+	probe scanIter
+	lRow  Row // current outer row (valid until the next left.next)
 	// inner is the open probe for lRow (nil between outer rows); in is its
 	// current batch of nIn rows, consumed up to rPos.
 	inner  batchIter
@@ -870,7 +784,7 @@ func (it *inlJoinIter) NextBatch(out *Batch) (int, error) {
 				break
 			}
 			it.lRow = row
-			inner, err := it.j.Inner.open(it.ctx, row, it.j.Left.Schema())
+			inner, err := it.j.Inner.openInto(it.ctx, &it.probe, row, it.j.Left.Schema())
 			if err != nil {
 				return 0, err
 			}
@@ -893,7 +807,7 @@ func (it *inlJoinIter) NextBatch(out *Batch) (int, error) {
 		for it.rPos < it.nIn && out.n < capRows {
 			it.joined = append(append(it.joined[:0], it.lRow...), it.in.Cols[0][it.in.rowIdx(it.rPos)])
 			it.rPos++
-			pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
+			pass, err := it.j.compiled.eval(it.joined, it.ctx.Env)
 			if err != nil {
 				return 0, err
 			}
@@ -903,7 +817,7 @@ func (it *inlJoinIter) NextBatch(out *Batch) (int, error) {
 		}
 	}
 	it.ctx.Counters.RowsJoined += int64(out.n)
-	return it.ctx.produced(&it.j.stats, out.n), nil
+	return it.ctx.produced(it.st, out.n), nil
 }
 
 func (it *inlJoinIter) Close() error {
@@ -927,7 +841,6 @@ type Project struct {
 
 	schema *Schema
 	slots  []int
-	stats  OpStats
 }
 
 // NewProject builds a projection node keeping the given aliases in order.
@@ -948,9 +861,6 @@ func (p *Project) Children() []PlanNode { return []PlanNode{p.Child} }
 
 // Estimate implements PlanNode.
 func (p *Project) Estimate() Est { return p.Est_ }
-
-// Stats implements PlanNode.
-func (p *Project) Stats() *OpStats { return &p.stats }
 
 // Describe implements PlanNode.
 func (p *Project) Describe() string {
@@ -973,13 +883,15 @@ func (p *Project) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, err
 	if err != nil {
 		return nil, err
 	}
-	p.stats.Opens++
-	return &projectIter{ctx: ctx, p: p, child: child}, nil
+	st := &ctx.record(p).OpStats
+	st.Opens++
+	return &projectIter{ctx: ctx, p: p, st: st, child: child}, nil
 }
 
 type projectIter struct {
 	ctx   *Ctx
 	p     *Project
+	st    *OpStats
 	child batchIter
 	// in is the child batch whose columns the output batch repoints;
 	// selbuf is the dedup selection scratch; prevIns holds the previously
@@ -1048,7 +960,7 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 			b.Sel = sel
 			out = len(sel)
 		}
-		return it.ctx.produced(&it.p.stats, out), nil
+		return it.ctx.produced(it.st, out), nil
 	}
 }
 
@@ -1066,7 +978,6 @@ type Sort struct {
 	Est_  Est
 
 	keySlots []int
-	stats    OpStats
 }
 
 // NewSort builds a sort node ordering by the in-labels of the given
@@ -1087,9 +998,6 @@ func (s *Sort) Children() []PlanNode { return []PlanNode{s.Child} }
 
 // Estimate implements PlanNode.
 func (s *Sort) Estimate() Est { return s.Est_ }
-
-// Stats implements PlanNode.
-func (s *Sort) Stats() *OpStats { return &s.stats }
 
 // Describe implements PlanNode.
 func (s *Sort) Describe() string {
@@ -1164,15 +1072,17 @@ func (s *Sort) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, error)
 	st := sorter.Stats()
 	ctx.Counters.SpilledBytes += st.Spilled
 	ctx.Counters.SpillRuns += int64(st.Runs)
-	s.stats.SpilledBytes += st.Spilled
-	s.stats.SpillRuns += int64(st.Runs)
-	s.stats.Opens++
-	return &sortIter{ctx: ctx, s: s, it: it, keyLen: keyLen, rowbuf: make(Row, len(s.Schema().Aliases))}, nil
+	run := &ctx.record(s).OpStats
+	run.SpilledBytes += st.Spilled
+	run.SpillRuns += int64(st.Runs)
+	run.Opens++
+	return &sortIter{ctx: ctx, s: s, st: run, it: it, keyLen: keyLen, rowbuf: make(Row, len(s.Schema().Aliases))}, nil
 }
 
 type sortIter struct {
 	ctx     *Ctx
 	s       *Sort
+	st      *OpStats
 	it      *recfile.Iterator
 	keyLen  int
 	prevKey []byte
@@ -1201,7 +1111,7 @@ func (it *sortIter) NextBatch(b *Batch) (int, error) {
 		}
 		b.appendRow(it.rowbuf)
 	}
-	return it.ctx.produced(&it.s.stats, b.n), nil
+	return it.ctx.produced(it.st, b.n), nil
 }
 
 func (it *sortIter) Close() error { return it.it.Close() }

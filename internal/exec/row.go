@@ -89,6 +89,52 @@ type Ctx struct {
 	// Counters accumulates runtime statistics for EXPLAIN ANALYZE-style
 	// reporting and tests.
 	Counters Counters
+
+	// profile is the run's per-operator state, keyed by plan node: a plan
+	// is immutable once built, so one plan can serve many runs at once and
+	// everything a run changes lives here.
+	profile map[PlanNode]*opRun
+	// slab holds the profile's records, allocated profileChunk at a time.
+	slab []opRun
+}
+
+// profileChunk is how many profile records one allocation holds: enough
+// for the operator trees of most queries.
+const profileChunk = 8
+
+// opRun is one operator's record in a run's profile.
+type opRun struct {
+	OpStats
+	// lbuf is the label-entry scratch a label scan expands into tuples; an
+	// INL inner, reopened per outer row, allocates it once per run.
+	lbuf []store.LabelEntry
+}
+
+// record returns n's record in the run's profile, creating it at n's first
+// open.
+func (c *Ctx) record(n PlanNode) *opRun {
+	if r := c.profile[n]; r != nil {
+		return r
+	}
+	if c.profile == nil {
+		c.profile = make(map[PlanNode]*opRun)
+	}
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]opRun, 0, profileChunk)
+	}
+	c.slab = append(c.slab, opRun{})
+	r := &c.slab[len(c.slab)-1]
+	c.profile[n] = r
+	return r
+}
+
+// Stats returns operator n's tallies for this run (zero if it never
+// opened).
+func (c *Ctx) Stats(n PlanNode) OpStats {
+	if r := c.profile[n]; r != nil {
+		return r.OpStats
+	}
+	return OpStats{}
 }
 
 // check polls the query's budget (cancellation + deadline); operators call
@@ -168,10 +214,10 @@ type Counters struct {
 	Batches int64
 }
 
-// OpStats tallies one operator instance's runtime activity while a plan
-// executes; EXPLAIN ANALYZE prints them next to the optimizer estimates.
-// Plans are compiled per query execution, so the tallies belong to exactly
-// one run (re-running a hand-built plan accumulates).
+// OpStats tallies one operator's runtime activity during one run of a
+// plan; EXPLAIN ANALYZE prints them next to the optimizer estimates. They
+// live in the run's Ctx (see Ctx.Stats), so every run of a plan starts
+// from zero.
 type OpStats struct {
 	// Opens counts iterator openings (per outer row for INL inners).
 	Opens int64
@@ -236,20 +282,9 @@ func resolveIn(op tpm.Operand, outer Row, outerSchema *Schema, env Env) (uint32,
 	}
 }
 
-// operandOn evaluates an operand against a row, returning either a numeric
-// or a string value.
-func operandOn(op tpm.Operand, row Row, schema *Schema, env Env) (num uint32, str string, isStr bool, err error) {
-	slot := -1
-	if op.Kind == tpm.OpAttr {
-		if slot = schema.Slot(op.Attr.Rel); slot < 0 {
-			return 0, "", false, fmt.Errorf("exec: attribute %s not in schema %v", op.Attr, schema.Aliases)
-		}
-	}
-	return operandSlot(op, slot, row, env)
-}
-
-// operandSlot is operandOn with the attribute slot already resolved —
-// the per-row path of compiled conjunctions, which does no map lookups.
+// operandSlot evaluates an operand against a row, returning either a
+// numeric or a string value. The attribute slot comes resolved — the
+// per-row path of compiled conjunctions does no map lookups.
 func operandSlot(op tpm.Operand, slot int, row Row, env Env) (num uint32, str string, isStr bool, err error) {
 	switch op.Kind {
 	case tpm.OpConstStr:
@@ -279,49 +314,37 @@ func operandSlot(op tpm.Operand, slot int, row Row, env Env) (num uint32, str st
 	return 0, "", false, fmt.Errorf("exec: bad operand %v", op)
 }
 
-// evalConds evaluates a conjunction against a row.
-func evalConds(conds []tpm.Cmp, row Row, schema *Schema, env Env) (bool, error) {
-	for _, c := range conds {
-		ok, err := evalCond(c, row, schema, env)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // compiledConds is a conjunction whose attribute operands were resolved
-// to row slots once, at operator open. Per-row evaluation then indexes
-// the row directly instead of hashing alias strings through the schema
-// map for every condition of every row — the dominant cost of predicate
-// evaluation in tight join loops.
+// to row slots when the operator was built. Per-row evaluation then
+// indexes the row directly instead of hashing alias strings through the
+// schema map for every condition of every row — the dominant cost of
+// predicate evaluation in tight join loops.
 type compiledConds struct {
 	conds []tpm.Cmp
 	slots [][2]int // per condition: left/right OpAttr slot, -1 for non-attrs
+	// err reports an attribute missing from the schema; the operator
+	// returns it from open.
+	err error
 }
 
-// compile resolves conds' attribute slots against schema, once per plan
-// node: the first open compiles, later opens (INL probes reopen their
-// inner scan per outer row) reuse the slots. Unknown attributes surface
-// at open time instead of on the first row.
-func (cc *compiledConds) compile(conds []tpm.Cmp, schema *Schema) error {
-	if cc.slots != nil || len(conds) == 0 {
-		return nil
+// compileConds resolves conds' attribute slots against schema.
+func compileConds(conds []tpm.Cmp, schema *Schema) compiledConds {
+	if len(conds) == 0 {
+		return compiledConds{}
 	}
-	cc.conds = conds
-	cc.slots = make([][2]int, len(conds))
+	cc := compiledConds{conds: conds, slots: make([][2]int, len(conds))}
 	for i, c := range conds {
 		for side, op := range [2]tpm.Operand{c.Left, c.Right} {
 			slot := -1
 			if op.Kind == tpm.OpAttr {
 				if slot = schema.Slot(op.Attr.Rel); slot < 0 {
-					return fmt.Errorf("exec: attribute %s not in schema %v", op.Attr, schema.Aliases)
+					return compiledConds{err: fmt.Errorf("exec: attribute %s not in schema %v", op.Attr, schema.Aliases)}
 				}
 			}
 			cc.slots[i][side] = slot
 		}
 	}
-	return nil
+	return cc
 }
 
 // eval evaluates the compiled conjunction against row. A zero-value
@@ -342,18 +365,6 @@ func evalCondSlots(c tpm.Cmp, slots [2]int, row Row, env Env) (bool, error) {
 		return false, err
 	}
 	rn, rs, rStr, err := operandSlot(c.Right, slots[1], row, env)
-	if err != nil {
-		return false, err
-	}
-	return cmpValues(c, ln, ls, lStr, rn, rs, rStr)
-}
-
-func evalCond(c tpm.Cmp, row Row, schema *Schema, env Env) (bool, error) {
-	ln, ls, lStr, err := operandOn(c.Left, row, schema, env)
-	if err != nil {
-		return false, err
-	}
-	rn, rs, rStr, err := operandOn(c.Right, row, schema, env)
 	if err != nil {
 		return false, err
 	}

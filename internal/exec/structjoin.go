@@ -47,8 +47,7 @@ type StructuralJoin struct {
 	Est_     Est
 
 	schema   *Schema
-	stats    OpStats
-	cc       compiledConds
+	compiled compiledConds
 	ancLeft  bool // the ancestor side is Left
 	ancSlot  int  // slot of Pred.Anc within its side's schema
 	descSlot int  // slot of Pred.Desc within its side's schema
@@ -60,6 +59,7 @@ type StructuralJoin struct {
 func NewStructuralJoin(left, right PlanNode, pred tpm.StructuralPred, conds []tpm.Cmp) *StructuralJoin {
 	j := &StructuralJoin{Left: left, Right: right, Pred: pred, Conds: conds,
 		schema: left.Schema().Concat(right.Schema())}
+	j.compiled = compileConds(conds, j.schema)
 	j.ancLeft = left.Schema().Slot(pred.Anc) >= 0
 	if j.ancLeft {
 		j.ancSlot = left.Schema().Slot(pred.Anc)
@@ -80,9 +80,6 @@ func (j *StructuralJoin) Children() []PlanNode { return []PlanNode{j.Left, j.Rig
 // Estimate implements PlanNode.
 func (j *StructuralJoin) Estimate() Est { return j.Est_ }
 
-// Stats implements PlanNode.
-func (j *StructuralJoin) Stats() *OpStats { return &j.stats }
-
 // Describe implements PlanNode.
 func (j *StructuralJoin) Describe() string {
 	order := ""
@@ -100,6 +97,9 @@ func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIt
 	if outer != nil {
 		return nil, fmt.Errorf("exec: structural join cannot be an INL inner")
 	}
+	if j.compiled.err != nil {
+		return nil, j.compiled.err
+	}
 	left, err := j.Left.open(ctx, nil, nil)
 	if err != nil {
 		return nil, err
@@ -109,21 +109,17 @@ func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIt
 		left.Close()
 		return nil, err
 	}
-	j.stats.Opens++
-	if err := j.cc.compile(j.Conds, j.schema); err != nil {
-		left.Close()
-		right.Close()
-		return nil, err
-	}
+	st := &ctx.record(j).OpStats
+	st.Opens++
 	anc, desc := left, right
 	if !j.ancLeft {
 		anc, desc = right, left
 	}
 	ds := newBatchStream(desc, j.descSlot)
 	if j.AncOrder {
-		return &structAncIter{ctx: ctx, j: j, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
+		return &structAncIter{ctx: ctx, j: j, st: st, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
 	}
-	return &structJoinIter{ctx: ctx, j: j, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
+	return &structJoinIter{ctx: ctx, j: j, st: st, left: left, right: right, anc: rowView{src: anc}, ds: ds}, nil
 }
 
 // structJoinIter runs the merge batch-at-a-time. Both streams are
@@ -138,6 +134,7 @@ func (j *StructuralJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIt
 type structJoinIter struct {
 	ctx         *Ctx
 	j           *StructuralJoin
+	st          *OpStats
 	left, right batchIter
 	anc         rowView      // ancestor side, walked row by row
 	ds          *batchStream // descendant side, batch-buffered
@@ -180,8 +177,8 @@ func (j *StructuralJoin) pairMatches(anc, desc Row) bool {
 func (it *structJoinIter) push(row Row) {
 	it.stack = appendRowCopy(it.stack, row)
 	depth := int64(len(it.stack))
-	if depth > it.j.stats.StackMax {
-		it.j.stats.StackMax = depth
+	if depth > it.st.StackMax {
+		it.st.StackMax = depth
 	}
 	if depth > it.ctx.Counters.StructStackMax {
 		it.ctx.Counters.StructStackMax = depth
@@ -243,7 +240,7 @@ func (it *structJoinIter) emitRun(out *Batch, capRows int, fast bool) error {
 				} else {
 					it.joined = append(append(it.joined[:0], descRow...), entry...)
 				}
-				pass, err := it.j.cc.eval(it.joined, it.ctx.Env)
+				pass, err := it.j.compiled.eval(it.joined, it.ctx.Env)
 				if err != nil {
 					return err
 				}
@@ -351,7 +348,7 @@ func (it *structJoinIter) NextBatch(out *Batch) (int, error) {
 	if err := it.ctx.checkN(out.n); err != nil {
 		return 0, err
 	}
-	return it.ctx.produced(&it.j.stats, out.n), nil
+	return it.ctx.produced(it.st, out.n), nil
 }
 
 func (it *structJoinIter) Close() error {
@@ -422,6 +419,7 @@ const ancSpillChunk = 4 << 10
 type structAncIter struct {
 	ctx         *Ctx
 	j           *StructuralJoin
+	st          *OpStats
 	left, right batchIter
 	anc         rowView      // ancestor side, walked row by row
 	ds          *batchStream // descendant side, batch-buffered
@@ -472,7 +470,7 @@ func (it *structAncIter) newPair(anc Row) (Row, error) {
 	} else {
 		buf = append(append(buf, it.descRow...), anc...)
 	}
-	pass, err := it.j.cc.eval(buf, it.ctx.Env)
+	pass, err := it.j.compiled.eval(buf, it.ctx.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -487,8 +485,8 @@ func (it *structAncIter) newPair(anc Row) (Row, error) {
 // output-list high-water mark on the operator and the query counters.
 func (it *structAncIter) bufAdd() {
 	it.buffered++
-	if it.buffered > it.j.stats.ListMax {
-		it.j.stats.ListMax = it.buffered
+	if it.buffered > it.st.ListMax {
+		it.st.ListMax = it.buffered
 	}
 	if it.buffered > it.ctx.Counters.StructListMax {
 		it.ctx.Counters.StructListMax = it.buffered
@@ -548,7 +546,7 @@ func (it *structAncIter) spillLists() error {
 		w.Hook = it.ctx.FaultHook
 		it.spillW = w
 		it.ctx.Counters.SpillRuns++
-		it.j.stats.SpillRuns++
+		it.st.SpillRuns++
 	}
 	for i := range it.stack {
 		e := &it.stack[i]
@@ -566,7 +564,7 @@ func (it *structAncIter) spillLists() error {
 	delta := it.spillW.Bytes() - it.spilled
 	it.spilled = it.spillW.Bytes()
 	it.ctx.Counters.SpilledBytes += delta
-	it.j.stats.SpilledBytes += delta
+	it.st.SpilledBytes += delta
 	return nil
 }
 
@@ -607,8 +605,8 @@ func (it *structAncIter) push(row Row) {
 	e.self = e.self[:0]
 	e.inherit = e.inherit[:0]
 	depth := int64(len(it.stack))
-	if depth > it.j.stats.StackMax {
-		it.j.stats.StackMax = depth
+	if depth > it.st.StackMax {
+		it.st.StackMax = depth
 	}
 	if depth > it.ctx.Counters.StructStackMax {
 		it.ctx.Counters.StructStackMax = depth
@@ -850,7 +848,7 @@ func (it *structAncIter) NextBatch(b *Batch) (int, error) {
 		}
 	}
 	it.ctx.Counters.RowsStructural += int64(b.n)
-	return it.ctx.produced(&it.j.stats, b.n), nil
+	return it.ctx.produced(it.st, b.n), nil
 }
 
 // Close releases the iterator's resources at any point mid-stream: the

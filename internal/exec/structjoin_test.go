@@ -50,8 +50,8 @@ func TestStructuralJoinDescendantRight(t *testing.T) {
 	if ctx.Counters.RowsJoined != 0 {
 		t.Errorf("RowsJoined = %d, want 0 (no loop join ran)", ctx.Counters.RowsJoined)
 	}
-	if join.Stats().Rows != 2 || join.Stats().StackMax != 1 {
-		t.Errorf("op stats: %+v", join.Stats())
+	if ctx.Stats(join).Rows != 2 || ctx.Stats(join).StackMax != 1 {
+		t.Errorf("op stats: %+v", ctx.Stats(join))
 	}
 }
 
@@ -117,8 +117,8 @@ func TestStructuralJoinNestedAncestors(t *testing.T) {
 	if !(rows[0][0].In < rows[1][0].In && rows[0][1].In == rows[1][1].In) {
 		t.Errorf("stack emission order wrong: %v", rows)
 	}
-	if join.Stats().StackMax != 2 {
-		t.Errorf("stack high-water mark = %d, want 2", join.Stats().StackMax)
+	if ctx.Stats(join).StackMax != 2 {
+		t.Errorf("stack high-water mark = %d, want 2", ctx.Stats(join).StackMax)
 	}
 	if ctx.Counters.StructStackMax != 2 {
 		t.Errorf("counter stack max = %d, want 2", ctx.Counters.StructStackMax)
@@ -199,11 +199,11 @@ func TestStructuralJoinAncOrder(t *testing.T) {
 		t.Errorf("RowsStructural = %d, want 3", ctx.Counters.RowsStructural)
 	}
 	// (a2,b1) buffers in a2's self list until a1 closes.
-	if join.Stats().ListMax != 1 || ctx.Counters.StructListMax != 1 {
-		t.Errorf("list high-water: op=%d counter=%d, want 1", join.Stats().ListMax, ctx.Counters.StructListMax)
+	if ctx.Stats(join).ListMax != 1 || ctx.Counters.StructListMax != 1 {
+		t.Errorf("list high-water: op=%d counter=%d, want 1", ctx.Stats(join).ListMax, ctx.Counters.StructListMax)
 	}
-	if join.Stats().StackMax != 2 {
-		t.Errorf("stack high-water: %d, want 2", join.Stats().StackMax)
+	if ctx.Stats(join).StackMax != 2 {
+		t.Errorf("stack high-water: %d, want 2", ctx.Stats(join).StackMax)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestExplainAnalyzeAncStructuralJoin(t *testing.T) {
 	if _, err := Run(ctx, plan); err != nil {
 		t.Fatal(err)
 	}
-	got := ExplainAnalyze(plan, ctx.Counters)
+	got := ExplainAnalyze(plan, ctx)
 	want := `relfor ($a, $b)
   structural-join A//B [stack merge, descendant axis, anc-ordered]  (actual rows=3 opens=1 batches=1 stack=2 list=1)
   ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1 batches=1)
@@ -321,7 +321,7 @@ func TestExplainAnalyzeBatchedStructuralJoin(t *testing.T) {
 	if _, err := Run(ctx, plan); err != nil {
 		t.Fatal(err)
 	}
-	got := ExplainAnalyze(plan, ctx.Counters)
+	got := ExplainAnalyze(plan, ctx)
 	want := `relfor ($a, $b)
   structural-join A//B [stack merge, descendant axis]  (actual rows=1 opens=1 batches=1 stack=2)
   ├─ scan A: label index (elem, "a")  (actual rows=2 opens=1 batches=1)

@@ -62,8 +62,7 @@ type TwigJoin struct {
 	Est_     Est
 
 	schema   *Schema
-	stats    OpStats
-	cc       compiledConds
+	compiled compiledConds
 	children [][]int // node -> child node indices
 	leafPath []int   // leaf node -> index into paths (-1 for inner nodes)
 	paths    [][]int // root-to-leaf node index lists, DFS preorder
@@ -101,6 +100,7 @@ func NewTwigJoin(streams []PlanNode, twig tpm.Twig, conds []tpm.Cmp, outOrder []
 	for _, a := range j.OutOrder {
 		j.outSlots = append(j.outSlots, j.schema.Slot(a))
 	}
+	j.compiled = compileConds(conds, j.schema)
 	return j
 }
 
@@ -112,9 +112,6 @@ func (j *TwigJoin) Children() []PlanNode { return append([]PlanNode(nil), j.Stre
 
 // Estimate implements PlanNode.
 func (j *TwigJoin) Estimate() Est { return j.Est_ }
-
-// Stats implements PlanNode.
-func (j *TwigJoin) Stats() *OpStats { return &j.stats }
 
 // Describe implements PlanNode.
 func (j *TwigJoin) Describe() string {
@@ -129,10 +126,14 @@ func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, er
 	if outer != nil {
 		return nil, fmt.Errorf("exec: twig join cannot be an INL inner")
 	}
+	if j.compiled.err != nil {
+		return nil, j.compiled.err
+	}
 	k := len(j.Streams)
 	it := &twigJoinIter{
 		ctx:     ctx,
 		j:       j,
+		st:      &ctx.record(j).OpStats,
 		its:     make([]batchIter, k),
 		streams: make([]*batchStream, k),
 		heads:   make([]xasr.Tuple, k),
@@ -155,11 +156,7 @@ func (j *TwigJoin) open(ctx *Ctx, outer Row, outerSchema *Schema) (batchIter, er
 		it.its[i] = si
 		it.streams[i] = newBatchStream(si, 0)
 	}
-	j.stats.Opens++
-	if err := j.cc.compile(j.Conds, j.schema); err != nil {
-		it.Close()
-		return nil, err
-	}
+	it.st.Opens++
 	return it, nil
 }
 
@@ -175,6 +172,7 @@ type twigEntry struct {
 type twigJoinIter struct {
 	ctx     *Ctx
 	j       *TwigJoin
+	st      *OpStats
 	its     []batchIter
 	streams []*batchStream // batch-buffered view over its
 	heads   []xasr.Tuple   // peeked head per stream
@@ -209,8 +207,8 @@ func (it *twigJoinIter) closeBuf(b *recfile.BoundedBuf) {
 	it.ctx.Counters.SpilledTuples += b.SpilledRecs()
 	it.ctx.Counters.SpilledBytes += b.SpilledBytes()
 	it.ctx.Counters.SpillRuns += int64(b.SpillRuns())
-	it.j.stats.SpilledBytes += b.SpilledBytes()
-	it.j.stats.SpillRuns += int64(b.SpillRuns())
+	it.st.SpilledBytes += b.SpilledBytes()
+	it.st.SpillRuns += int64(b.SpillRuns())
 	b.Close()
 }
 
@@ -349,8 +347,8 @@ func (it *twigJoinIter) push(q int) {
 	it.stacks[q] = append(it.stacks[q], twigEntry{t: it.heads[q], ptr: ptr})
 	it.dropHead(q)
 	depth := int64(len(it.stacks[q]))
-	if depth > it.j.stats.StackMax {
-		it.j.stats.StackMax = depth
+	if depth > it.st.StackMax {
+		it.st.StackMax = depth
 	}
 	if depth > it.ctx.Counters.StructStackMax {
 		it.ctx.Counters.StructStackMax = depth
@@ -689,7 +687,7 @@ func (it *twigJoinIter) finalize() error {
 			return err
 		}
 		if len(j.Conds) > 0 {
-			pass, err := j.cc.eval(row, it.ctx.Env)
+			pass, err := j.compiled.eval(row, it.ctx.Env)
 			if err != nil {
 				accIt.Close()
 				return err
@@ -721,8 +719,8 @@ func (it *twigJoinIter) finalize() error {
 	st := sorter.Stats()
 	it.ctx.Counters.SpilledBytes += st.Spilled
 	it.ctx.Counters.SpillRuns += int64(st.Runs)
-	j.stats.SpilledBytes += st.Spilled
-	j.stats.SpillRuns += int64(st.Runs)
+	it.st.SpilledBytes += st.Spilled
+	it.st.SpillRuns += int64(st.Runs)
 	it.sorter = nil // run files now owned by the sorted iterator
 	it.sorted = sorted
 	return nil
@@ -754,7 +752,7 @@ func (it *twigJoinIter) NextBatch(b *Batch) (int, error) {
 		b.appendRow(it.rowbuf)
 	}
 	it.ctx.Counters.RowsTwig += int64(b.n)
-	return it.ctx.produced(&it.j.stats, b.n), nil
+	return it.ctx.produced(it.st, b.n), nil
 }
 
 func (it *twigJoinIter) Close() error {

@@ -209,8 +209,8 @@ func TestTwigJoinStackStats(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	// twigDoc nests a inside a: the A stack must have reached depth 2.
-	if j.Stats().StackMax != 2 {
-		t.Errorf("stack high-water = %d, want 2", j.Stats().StackMax)
+	if ctx.Stats(j).StackMax != 2 {
+		t.Errorf("stack high-water = %d, want 2", ctx.Stats(j).StackMax)
 	}
 	if ctx.Counters.StructStackMax != 2 {
 		t.Errorf("counter stack max = %d", ctx.Counters.StructStackMax)
@@ -218,8 +218,8 @@ func TestTwigJoinStackStats(t *testing.T) {
 	if ctx.Counters.TwigPathSolutions == 0 {
 		t.Error("no path solutions counted")
 	}
-	if j.Stats().Opens != 1 || j.Stats().Rows != int64(len(rows)) {
-		t.Errorf("op stats: %+v", j.Stats())
+	if ctx.Stats(j).Opens != 1 || ctx.Stats(j).Rows != int64(len(rows)) {
+		t.Errorf("op stats: %+v", ctx.Stats(j))
 	}
 }
 
@@ -349,7 +349,7 @@ func TestExplainAnalyzeTwigUnderJoin(t *testing.T) {
 	if _, err := Run(ctx, plan); err != nil {
 		t.Fatal(err)
 	}
-	got := ExplainAnalyze(plan, ctx.Counters)
+	got := ExplainAnalyze(plan, ctx)
 	want := `relfor ($a, $b, $c)
   inl-join → scan C: label index (elem, "c") in ∈ [A.in+1, A.out)  (actual rows=4 opens=1 batches=1)
   ├─ twig-join A[//B] [holistic, 2 streams]  (actual rows=5 opens=1 batches=1 stack=2)

@@ -66,6 +66,11 @@ func (*XSeq) isXPlan()    {}
 func (*XRelFor) isXPlan() {}
 func (*XIf) isXPlan()     {}
 
+// The identity on plans, left for the benchmark driver that still calls
+// it: a plan is immutable once built and each run keeps its state in its
+// own Ctx, so a plan runs again, or concurrently, as is.
+func ClonePlan(p XPlan) XPlan { return p }
+
 // Run executes an XPlan and returns the serialized XML result.
 func Run(ctx *Ctx, p XPlan) ([]byte, error) {
 	if ctx.Env == nil {
@@ -156,15 +161,22 @@ func runRelFor(ctx *Ctx, p *XRelFor, out []byte) ([]byte, error) {
 
 	// Save shadowed bindings so nested relfors over the same names (from
 	// separate query branches) restore correctly.
-	saved := make([]Binding, len(p.Vars))
-	had := make([]bool, len(p.Vars))
+	type shadowed struct {
+		b   Binding
+		had bool
+	}
+	var buf [4]shadowed // most relfors bind few variables: no allocation
+	saved := buf[:]
+	if len(p.Vars) > len(buf) {
+		saved = make([]shadowed, len(p.Vars))
+	}
 	for i, v := range p.Vars {
-		saved[i], had[i] = ctx.Env[v]
+		saved[i].b, saved[i].had = ctx.Env[v]
 	}
 	defer func() {
 		for i, v := range p.Vars {
-			if had[i] {
-				ctx.Env[v] = saved[i]
+			if saved[i].had {
+				ctx.Env[v] = saved[i].b
 			} else {
 				delete(ctx.Env, v)
 			}

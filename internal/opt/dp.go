@@ -154,7 +154,7 @@ func (p *Planner) search(info *psxInfo, t joinToggles, seed *built, margin float
 			if info.joins > maxSearchJoins {
 				return nil, 0, errSearchBound
 			}
-			if err := p.Deadline.Check(); err != nil {
+			if err := p.Budget.Check(); err != nil {
 				return nil, 0, err
 			}
 			for r := 0; r < n; r++ {

@@ -20,9 +20,10 @@ type Planner struct {
 	st  *store.Store
 	cfg Config
 	est *Estimator
-	// Deadline, when set, bounds planning: the join-order search polls
-	// it and Plan fails with limit.ErrTimeout once it passes.
-	Deadline *limit.Deadline
+	// Budget, when set, is the query's budget: the join-order search polls
+	// it, so Plan fails with limit.ErrTimeout once its deadline passes and
+	// with limit.ErrCanceled once the query is canceled.
+	Budget *limit.Budget
 }
 
 // New returns a planner using the given configuration.
@@ -243,7 +244,7 @@ func (p *Planner) PlanPSX(psx *tpm.PSX) (exec.PlanNode, error) {
 	if len(psx.Rels) > maxRels {
 		return nil, fmt.Errorf("%w: %d, at most %d", ErrTooManyRelations, len(psx.Rels), maxRels)
 	}
-	if err := p.Deadline.Check(); err != nil {
+	if err := p.Budget.Check(); err != nil {
 		return nil, err
 	}
 	info := p.analyze(psx)

@@ -123,10 +123,25 @@ func TestPlanningStopsAtDeadline(t *testing.T) {
 	st := dblpStore(t)
 	for _, q := range wideQueries() {
 		p := New(st, M4())
-		p.Deadline = limit.After(time.Nanosecond)
+		p.Budget = limit.NewBudget(0, limit.After(time.Nanosecond))
 		time.Sleep(time.Millisecond)
 		if _, err := p.Plan(tpm.Merge(tpm.Rewrite(xq.MustParse(q)))); !errors.Is(err, limit.ErrTimeout) {
 			t.Errorf("Plan past its deadline: err = %v, want %v", err, limit.ErrTimeout)
+		}
+	}
+}
+
+// TestPlanningStopsWhenCanceled plans the twenty-relation conjunctions
+// under a budget canceled beforehand: planning must fail with
+// limit.ErrCanceled.
+func TestPlanningStopsWhenCanceled(t *testing.T) {
+	st := dblpStore(t)
+	for _, q := range wideQueries() {
+		p := New(st, M4())
+		p.Budget = limit.NewBudget(0, nil)
+		p.Budget.Cancel()
+		if _, err := p.Plan(tpm.Merge(tpm.Rewrite(xq.MustParse(q)))); !errors.Is(err, limit.ErrCanceled) {
+			t.Errorf("Plan under a canceled budget: err = %v, want %v", err, limit.ErrCanceled)
 		}
 	}
 }

@@ -11,12 +11,10 @@
 // under the old one simply stops matching (and is evicted lazily by the
 // LRU, or eagerly by InvalidateDoc).
 //
-// Cached plans are pristine: they have never been executed. Executors must
-// run exec.ClonePlan copies, never the cached tree itself — plan nodes
-// accumulate runtime state, so handing the same tree to two queries would
-// race. The cache never returns the stored tree to two callers with
-// mutation rights; Get returns the shared pristine tree for the caller to
-// clone.
+// A cached plan is shared: Get hands the same plan to every caller, and
+// callers run it as is. Plans never change once built — each run keeps
+// its state in its own exec.Ctx — so any number of queries may run one
+// cached plan at the same time.
 package plancache
 
 import (
@@ -95,8 +93,8 @@ func New(capEntries int) *Cache {
 	return &Cache{cap: capEntries, entries: make(map[Key]*list.Element), lru: list.New()}
 }
 
-// Get returns the pristine compiled plan for key, if cached. Callers must
-// execute an exec.ClonePlan copy, never the returned tree.
+// Get returns the compiled plan for key, if cached. The plan is shared
+// with every other caller; run it on a context of your own.
 func (c *Cache) Get(key Key) (exec.XPlan, bool) {
 	if c == nil {
 		return nil, false
@@ -113,7 +111,7 @@ func (c *Cache) Get(key Key) (exec.XPlan, bool) {
 	return el.Value.(*entry).plan, true
 }
 
-// Put stores a pristine compiled plan under key, evicting the least
+// Put stores a compiled plan under key, evicting the least
 // recently used entry past the bound. Re-putting an existing key replaces
 // the plan (last compile wins — they are equivalent anyway).
 func (c *Cache) Put(key Key, plan exec.XPlan) {

@@ -144,7 +144,7 @@ func fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &ae):
 		status = ae.status
-	case errors.As(err, &pe), errors.Is(err, opt.ErrTooManyRelations):
+	case errors.As(err, &pe), errors.Is(err, opt.ErrTooManyRelations), errors.Is(err, core.ErrNoPlan):
 		status = http.StatusBadRequest
 	case errors.Is(err, limit.ErrCanceled):
 		status = http.StatusConflict
@@ -392,7 +392,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		out, err = doc.Engine(cfg).Explain(src)
 	}
 	if err != nil {
-		fail(w, &apiError{http.StatusBadRequest, err.Error()})
+		fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -327,3 +327,23 @@ func TestParseQueryConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainErrorStatus checks that /explain maps failures to the same
+// status codes as /query instead of calling every error a bad request.
+func TestExplainErrorStatus(t *testing.T) {
+	ts := newTestServer(t)
+	ts.do(t, "PUT", "/docs/d", xmlDoc(2000), http.StatusOK)
+	for _, c := range []struct {
+		name, path, query string
+		want              int
+	}{
+		{"parse error", "/explain?doc=d", `for $x in`, http.StatusBadRequest},
+		{"parse error analyzed", "/explain?doc=d&analyze=true", `for $x in`, http.StatusBadRequest},
+		{"no plan to analyze", "/explain?doc=d&mode=m2&analyze=true", `//x`, http.StatusBadRequest},
+		{"timeout analyzed", "/explain?doc=d&analyze=true&timeout=1ms",
+			`for $x in //x return for $y in //x return if ($x/text() = $y/text()) then <m/> else ()`,
+			http.StatusGatewayTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) { ts.do(t, "POST", c.path, c.query, c.want) })
+	}
+}

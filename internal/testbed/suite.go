@@ -301,8 +301,8 @@ type CacheMismatch struct {
 // RunCacheEquivalence evaluates every query on every document twice
 // through a plan-cached engine — priming miss, then hit — and compares
 // the hit's bytes against an uncached engine's result. Byte-identical
-// output over the full suite means executing a clone of a cached plan
-// changes no semantics.
+// output over the full suite means running the shared cached plan again,
+// after the run that put it, changes no semantics.
 func RunCacheEquivalence(dir string, docs []Doc, queries []string) ([]CacheMismatch, error) {
 	var out []CacheMismatch
 	for _, doc := range docs {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of cmd/xqserver: build it, load two documents over
 # HTTP, check queries (including a plan-cache hit with byte-identical
-# output and a session cancel), then shut down cleanly and verify nothing
+# output, an analyzed run after it, and a session cancel), then shut down cleanly and verify nothing
 # leaked (no temp files, server exits 0).
 set -euo pipefail
 
@@ -56,6 +56,11 @@ hit=$(curl -sf -X POST --data "$q" "$base/query?doc=small&format=xml" -D "$workd
 grep -qi 'X-Plan-Cache: hit' "$workdir/headers" || fail "repeat query did not hit the plan cache"
 [ "$hit" = "$out" ] || fail "cached result differs: $hit vs $out"
 curl -sf "$base/stats" | grep -q '"hits": ' || fail "stats endpoint"
+
+echo "== analyzed run after a cache hit =="
+code=$(curl -s -o "$workdir/analyze" -w '%{http_code}' -X POST --data "$q" "$base/explain?doc=small&analyze=true")
+[ "$code" = 200 ] || fail "explain analyze answered $code, want 200"
+grep -q 'actual rows=' "$workdir/analyze" || fail "explain analyze shows no actual rows"
 
 echo "== updates survive kill -9 mid-stream =="
 # Hammer single-node inserts at one document, kill -9 the server while
