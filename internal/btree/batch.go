@@ -131,6 +131,16 @@ func (t *Tree) descendToLeaf(key []byte) (*pager.Page, error) {
 	}
 }
 
+// seekLeaf returns the pinned leaf that would hold lo (nil = the leftmost
+// leaf) and the slot of the first cell >= lo in it.
+func (t *Tree) seekLeaf(lo []byte) (*pager.Page, int, error) {
+	p, err := t.descendToLeaf(lo)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, findInLeaf(p.Data(), lo), nil
+}
+
 // NextLeaf visits the in-range cells of the next non-empty leaf, calling
 // fn once per cell while the leaf is pinned, and reports false when the
 // leaf chain or the bound is exhausted. The slices passed to fn alias the
@@ -144,14 +154,11 @@ func (c *BatchCursor) NextLeaf(fn func(k, v []byte)) (bool, error) {
 		var err error
 		if !c.seeked {
 			c.seeked = true
-			p, err = c.t.descendToLeaf(c.lo)
+			p, c.start, err = c.t.seekLeaf(c.lo)
 			if err != nil {
 				return false, err
 			}
-			if c.lo != nil {
-				c.start = findInLeaf(p.Data(), c.lo)
-				c.lo = nil
-			}
+			c.lo = nil
 		} else {
 			if c.next == pager.NilPage {
 				return false, nil
@@ -196,6 +203,78 @@ func (c *BatchCursor) NextLeaf(fn func(k, v []byte)) (bool, error) {
 			return false, nil
 		}
 	}
+}
+
+// LeafWalk is a forward range visit that remembers the leaf it last ended
+// in. A Visit whose lower key lies between that leaf's first and last keys
+// starts there without a root-to-leaf descent; any other Visit descends.
+// A run of visits in key order that each cover a few cells (serializing
+// document-ordered subtrees) thus costs one pinned-leaf read per visit
+// instead of one descent per visit. Like BatchCursor it pins one page at a
+// time and holds no pin between calls.
+//
+// The remembered page id is only meaningful while the tree is not
+// modified: a split or a freed page would leave it naming some other page.
+// Use a LeafWalk within one read-locked unit of work and drop it after.
+type LeafWalk struct {
+	t    *Tree
+	last pager.PageID // leaf the previous Visit ended in; NilPage before the first
+}
+
+// LeafWalk returns a walk with no remembered leaf.
+func (t *Tree) LeafWalk() LeafWalk { return LeafWalk{t: t} }
+
+// Visit calls fn on every cell with key >= lo, in key order, while the
+// cell's leaf is pinned, until fn returns false or the leaf chain ends.
+// The slices passed to fn alias the page: they are only valid during the
+// call.
+func (w *LeafWalk) Visit(lo []byte, fn func(k, v []byte) bool) error {
+	p, i, err := w.start(lo)
+	if err != nil {
+		return err
+	}
+	for {
+		d := p.Data()
+		for n := nkeys(d); i < n; i++ {
+			if k, v := leafCell(d, i); !fn(k, v) {
+				w.last = p.ID
+				p.Unpin()
+				return nil
+			}
+		}
+		next := link(d)
+		w.last = p.ID
+		p.Unpin()
+		if next == pager.NilPage {
+			return nil
+		}
+		if p, err = w.t.pg.Read(next); err != nil {
+			return err
+		}
+		i = 0
+	}
+}
+
+// start returns the pinned leaf a Visit from lo begins in and the slot of
+// its first cell >= lo: the remembered leaf when it brackets lo, else the
+// leaf a descent finds.
+func (w *LeafWalk) start(lo []byte) (*pager.Page, int, error) {
+	if w.last != pager.NilPage {
+		p, err := w.t.pg.Read(w.last)
+		if err != nil {
+			return nil, 0, err
+		}
+		d := p.Data()
+		if n := nkeys(d); nodeType(d) == typeLeaf && n > 0 {
+			first, _ := leafCell(d, 0)
+			last, _ := leafCell(d, n-1)
+			if bytes.Compare(lo, first) >= 0 && bytes.Compare(lo, last) <= 0 {
+				return p, findInLeaf(d, lo), nil
+			}
+		}
+		p.Unpin()
+	}
+	return w.t.seekLeaf(lo)
 }
 
 // NextBatch fills b with the in-range cells of the next non-empty leaf. It

@@ -209,6 +209,104 @@ func TestBatchCursorResume(t *testing.T) {
 	}
 }
 
+// TestLeafWalkRanges visits short ranges through one LeafWalk in sorted,
+// reverse and seeded random order, on a pool small enough to evict leaves
+// between visits, and checks each visit against ScanRange and that no pin
+// survives it.
+func TestLeafWalkRanges(t *testing.T) {
+	pg := newPager(t, 16)
+	tr, err := Create(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	for i := 0; i < n; i += 2 { // odd keys are absent: lower keys in gaps
+		if err := tr.Insert(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := make([]int, n+1)
+	for i := range sorted {
+		sorted[i] = i
+	}
+	reverse := make([]int, len(sorted))
+	for i, v := range sorted {
+		reverse[len(sorted)-1-i] = v
+	}
+	random := rand.New(rand.NewSource(30)).Perm(n + 1)
+	for name, order := range map[string][]int{"sorted": sorted, "reverse": reverse, "random": random} {
+		w := tr.LeafWalk()
+		for _, lo := range order {
+			const span = 5
+			var got [][]byte
+			if err := w.Visit(key(lo), func(k, _ []byte) bool {
+				if len(got) == span {
+					return false
+				}
+				got = append(got, append([]byte(nil), k...))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var want [][]byte
+			if err := tr.ScanRange(key(lo), nil, func(k, _ []byte) bool {
+				want = append(want, append([]byte(nil), k...))
+				return len(want) < span
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !equalSlices(got, want) {
+				t.Fatalf("%s: Visit(%s) = %q, want %q", name, key(lo), got, want)
+			}
+			if pins := pg.PinnedPages(); pins != 0 {
+				t.Fatalf("%s: %d pages pinned after Visit(%s)", name, pins, key(lo))
+			}
+		}
+	}
+}
+
+// TestLeafWalkSkipsDescent checks that a visit starting inside the leaf
+// the previous visit ended in reads that one page, and that a visit
+// elsewhere descends.
+func TestLeafWalkSkipsDescent(t *testing.T) {
+	pg := newPager(t, 256)
+	tr, err := Create(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := tr.Insert(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := tr.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h < 2 {
+		t.Fatalf("height %d: the test needs a descent to skip", h)
+	}
+	reads := func() int64 { s := pg.Stats(); return s.CacheHits + s.CacheMisses }
+	first := func(k, _ []byte) bool { return false }
+	w := tr.LeafWalk()
+	visit := func(lo int) int64 {
+		before := reads()
+		if err := w.Visit(key(lo), first); err != nil {
+			t.Fatal(err)
+		}
+		return reads() - before
+	}
+	if got := visit(100); got != int64(h) {
+		t.Errorf("first visit read %d pages, want a descent of %d", got, h)
+	}
+	if got := visit(101); got != 1 {
+		t.Errorf("visit in the remembered leaf read %d pages, want 1", got)
+	}
+	if got := visit(4900); got != int64(1+h) {
+		t.Errorf("visit far away read %d pages, want the remembered leaf plus a descent of %d", got, h)
+	}
+}
+
 // TestPrefixSuccessor pins the range-bound helper's edge cases.
 func TestPrefixSuccessor(t *testing.T) {
 	cases := []struct {

@@ -268,3 +268,43 @@ func TestUnknownAttributeFailsAtOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestConstructorOutput pins XConstr's bytes: the body runs onto the
+// output buffer itself, and an open tag whose body wrote nothing becomes
+// <label/>.
+func TestConstructorOutput(t *testing.T) {
+	ctx := testCtx(t, figure2)
+	names := func(v string, body XPlan) XPlan {
+		return &XRelFor{Vars: []string{v}, Root: NewProject(labelScan("N", "name"), []string{"N"}, true), Body: body}
+	}
+	none := func(body XPlan) XPlan {
+		return &XRelFor{Vars: []string{"z"}, Root: NewProject(labelScan("Z", "nosuch"), []string{"Z"}, true), Body: body}
+	}
+	for _, tc := range []struct {
+		name string
+		plan XPlan
+		want string
+	}{
+		{"empty body", &XConstr{Label: "a", Body: XEmpty{}}, `<a/>`},
+		{"empty text body", &XConstr{Label: "a", Body: &XText{}}, `<a/>`},
+		{"text body", &XConstr{Label: "a", Body: &XText{Content: "x<y"}}, `<a>x&lt;y</a>`},
+		{"nested empty", &XConstr{Label: "a", Body: &XConstr{Label: "b", Body: XEmpty{}}}, `<a><b/></a>`},
+		{"nested non-empty", &XConstr{Label: "a", Body: &XConstr{Label: "b", Body: &XText{Content: "t"}}}, `<a><b>t</b></a>`},
+		{"after output", &XSeq{Items: []XPlan{&XText{Content: "p"}, &XConstr{Label: "a", Body: XEmpty{}}, &XConstr{Label: "b", Body: &XText{Content: "q"}}}}, `p<a/><b>q</b>`},
+		{"mixed sequence", &XConstr{Label: "a", Body: &XSeq{Items: []XPlan{&XConstr{Label: "b", Body: XEmpty{}}, &XText{Content: "t"}, &XConstr{Label: "c", Body: XEmpty{}}}}}, `<a><b/>t<c/></a>`},
+		{"around empty relfor", &XConstr{Label: "a", Body: none(&XEmit{Var: "z"})}, `<a/>`},
+		{"nested around empty relfor", &XConstr{Label: "a", Body: &XConstr{Label: "b", Body: none(&XEmit{Var: "z"})}}, `<a><b/></a>`},
+		{"inside relfor", names("n", &XConstr{Label: "x", Body: &XEmit{Var: "n"}}), `<x><name>Ana</name></x><x><name>Bob</name></x>`},
+		{"empty inside relfor", names("n", &XConstr{Label: "x", Body: XEmpty{}}), `<x/><x/>`},
+		{"empty relfor inside relfor", names("n", &XConstr{Label: "x", Body: none(&XEmit{Var: "z"})}), `<x/><x/>`},
+	} {
+		out, err := Run(ctx, tc.plan)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if string(out) != tc.want {
+			t.Errorf("%s: got %s, want %s", tc.name, out, tc.want)
+		}
+	}
+}

@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"xqdb/internal/fault"
 	"xqdb/internal/limit"
+	"xqdb/internal/store"
 	"xqdb/internal/tpm"
+	"xqdb/internal/xmlgen"
 )
 
 // bigTwigDoc builds a flat document with n <a><b>i</b><c>i</c></a> entries:
@@ -207,5 +210,59 @@ func TestStructAncDeadlineAborts(t *testing.T) {
 	}
 	if u := ctx.Budget.InUse(); u != 0 {
 		t.Errorf("deadline abort leaked %d budget bytes", u)
+	}
+}
+
+// TestEmitReadFaultFailsQuery fails a page read while XEmit serializes a
+// subtree spanning many leaves: the run must fail with the injected error,
+// release every pin and drop its subtree writer.
+func TestEmitReadFaultFailsQuery(t *testing.T) {
+	var inj fault.Injector
+	st, err := store.Open(t.TempDir(), store.Options{IOHook: inj.Hook, CacheFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.LoadString(xmlgen.DBLP(xmlgen.DBLPConfig{Entries: 400, Seed: 250})); err != nil {
+		t.Fatal(err)
+	}
+	plan := &XRelFor{
+		Vars: []string{"d"},
+		Root: NewProject(labelScan("D", "dblp"), []string{"D"}, true),
+		Body: &XEmit{Var: "d"},
+	}
+	ctx := &Ctx{Store: st}
+	inj.Arm(0) // count, never fail
+	want, err := Run(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := inj.Ops()
+	if reads < 8 {
+		t.Fatalf("the query read %d pages from the file: the pool is not small enough", reads)
+	}
+
+	// The label scan reads a page or two; the rest of the reads are the
+	// emit's, so the last quarter falls inside the subtree.
+	inj.ArmAt("page:read", reads-reads/4)
+	ctx = &Ctx{Store: st}
+	got, err := Run(ctx, plan)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("query with a failing read: err = %v, want %v", err, fault.ErrInjected)
+	}
+	if ctx.Counters.RowsEmitted != 1 || len(got) != 0 {
+		t.Errorf("the fault did not land inside the emit: %d emits, %d bytes out", ctx.Counters.RowsEmitted, len(got))
+	}
+	if pins := st.PinnedPages(); pins != 0 {
+		t.Errorf("%d pages pinned after the failed query", pins)
+	}
+	if ctx.emit != nil {
+		t.Error("the failed run kept its subtree writer")
+	}
+
+	inj.Disarm()
+	got, err = Run(ctx, plan)
+	if err != nil || string(got) != string(want) {
+		t.Errorf("rerun after the fault: err = %v, output equal = %v", err, string(got) == string(want))
 	}
 }

@@ -96,6 +96,10 @@ type Ctx struct {
 	profile map[PlanNode]*opRun
 	// slab holds the profile's records, allocated profileChunk at a time.
 	slab []opRun
+	// emit serializes the run's XEmits. It remembers the primary leaf the
+	// last subtree ended in, which is only valid while the run holds the
+	// store's read side, so Run drops it on return.
+	emit *store.SubtreeWriter
 }
 
 // profileChunk is how many profile records one allocation holds: enough

@@ -76,6 +76,7 @@ func Run(ctx *Ctx, p XPlan) ([]byte, error) {
 	if ctx.Env == nil {
 		ctx.Env = Env{}
 	}
+	defer func() { ctx.emit = nil }()
 	return run(ctx, p, nil)
 }
 
@@ -94,21 +95,25 @@ func run(ctx *Ctx, p XPlan, out []byte) ([]byte, error) {
 			return out, fmt.Errorf("exec: unbound variable $%s", p.Var)
 		}
 		ctx.Counters.RowsEmitted++
-		return ctx.Store.AppendSubtree(out, b.In)
+		if ctx.emit == nil {
+			ctx.emit = ctx.Store.NewSubtreeWriter()
+		}
+		return ctx.emit.Append(out, b.In)
 	case *XConstr:
-		inner, err := run(ctx, p.Body, nil)
-		if err != nil {
-			return out, err
-		}
-		if len(inner) == 0 {
-			out = append(out, '<')
-			out = append(out, p.Label...)
-			return append(out, '/', '>'), nil
-		}
+		// The body runs onto out itself; if it appends nothing, the open
+		// tag just written becomes <label/>.
 		out = append(out, '<')
 		out = append(out, p.Label...)
 		out = append(out, '>')
-		out = append(out, inner...)
+		body := len(out)
+		var err error
+		out, err = run(ctx, p.Body, out)
+		if err != nil {
+			return out, err
+		}
+		if len(out) == body {
+			return append(out[:body-1], '/', '>'), nil
+		}
 		out = append(out, '<', '/')
 		out = append(out, p.Label...)
 		return append(out, '>'), nil

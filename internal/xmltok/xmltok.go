@@ -545,37 +545,32 @@ func (t *Tokenizer) decodeEntities(s string) (string, error) {
 	}
 }
 
-// EscapeText writes s to b with '<', '>' and '&' escaped, suitable for
-// character data content.
-func EscapeText(b *strings.Builder, s string) {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-}
-
 // AppendEscaped appends s to dst with '<', '>' and '&' escaped and returns
 // the extended slice.
-func AppendEscaped(dst []byte, s string) []byte {
+func AppendEscaped(dst []byte, s string) []byte { return appendEscaped(dst, s) }
+
+// AppendEscapedBytes is AppendEscaped for text held in a byte slice, such
+// as a value read straight off a page, with no string conversion.
+func AppendEscapedBytes(dst, s []byte) []byte { return appendEscaped(dst, s) }
+
+// appendEscaped copies each run between escaped bytes with one append.
+func appendEscaped[T string | []byte](dst []byte, s T) []byte {
+	run := 0
 	for i := 0; i < len(s); i++ {
+		var ent string
 		switch s[i] {
 		case '<':
-			dst = append(dst, "&lt;"...)
+			ent = "&lt;"
 		case '>':
-			dst = append(dst, "&gt;"...)
+			ent = "&gt;"
 		case '&':
-			dst = append(dst, "&amp;"...)
+			ent = "&amp;"
 		default:
-			dst = append(dst, s[i])
+			continue
 		}
+		dst = append(dst, s[run:i]...)
+		dst = append(dst, ent...)
+		run = i + 1
 	}
-	return dst
+	return append(dst, s[run:]...)
 }

@@ -140,15 +140,47 @@ func TestDepthTracking(t *testing.T) {
 }
 
 func TestEscapeHelpers(t *testing.T) {
-	var b strings.Builder
-	EscapeText(&b, `a<b>&c`)
-	if b.String() != "a&lt;b&gt;&amp;c" {
-		t.Errorf("EscapeText: %q", b.String())
-	}
-	got := AppendEscaped(nil, `x&y<z`)
-	if string(got) != "x&amp;y&lt;z" {
+	if got := AppendEscaped([]byte("<p>"), `a<b>&c`); string(got) != "<p>a&lt;b&gt;&amp;c" {
 		t.Errorf("AppendEscaped: %q", got)
 	}
+	if got := AppendEscapedBytes(nil, []byte(`x&y<z`)); string(got) != "x&amp;y&lt;z" {
+		t.Errorf("AppendEscapedBytes: %q", got)
+	}
+}
+
+// appendEscapedRef is the byte-at-a-time escaper AppendEscaped replaced,
+// kept as the fuzz oracle.
+func appendEscapedRef(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		case '&':
+			dst = append(dst, "&amp;"...)
+		default:
+			dst = append(dst, s[i])
+		}
+	}
+	return dst
+}
+
+// FuzzAppendEscaped checks both escaping entry points against the
+// byte-at-a-time reference, appended after a non-empty prefix.
+func FuzzAppendEscaped(f *testing.F) {
+	for _, s := range []string{"", "plain", "<", "&&", "a<b>&c", "<<>>", "x&amp;y", "héllo <wörld> & 日本", "\x00<\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := appendEscapedRef([]byte("pre"), s)
+		if got := AppendEscaped([]byte("pre"), s); string(got) != string(want) {
+			t.Fatalf("AppendEscaped(%q) = %q, want %q", s, got, want)
+		}
+		if got := AppendEscapedBytes([]byte("pre"), []byte(s)); string(got) != string(want) {
+			t.Fatalf("AppendEscapedBytes(%q) = %q, want %q", s, got, want)
+		}
+	})
 }
 
 func TestUnicodeContent(t *testing.T) {
