@@ -57,8 +57,8 @@ func main() {
 		storeDir   = flag.String("store", "", "catalog root directory (required)")
 		cacheSize  = flag.Int("cache", plancache.DefaultEntries, "plan cache entries (0 disables)")
 		mode       = flag.String("mode", "m4", "default engine mode: m1|m2|tpm|m3|m4|badstats")
-		timeout    = flag.Duration("timeout", 0, "default per-query timeout (0 = unlimited)")
-		memBudget  = flag.Int("membudget", 0, "default per-query memory budget in bytes (0 = unlimited)")
+		timeout    = flag.Duration("timeout", 0, "per-query timeout cap; ?timeout= may lower it, never lift it (0 = unlimited)")
+		memBudget  = flag.Int("membudget", 0, "per-query memory budget cap in bytes; ?membudget= may lower it, never lift it (0 = unlimited)")
 		sortBudget = flag.Int("sortbudget", 1<<20, "default operator sort/spool budget in bytes")
 		loads      loadFlags
 	)

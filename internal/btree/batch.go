@@ -6,79 +6,26 @@ import (
 	"xqdb/internal/pager"
 )
 
-// Batch is a reusable buffer of decoded leaf cells. A batch fill pins a
-// leaf once, copies every remaining cell into the batch's arena and
-// unpins, so iterating a batch costs no pager locks at all. The arena and
-// offset table are reused across fills: steady-state batch scans allocate
-// nothing.
-type Batch struct {
-	buf  []byte
-	offs []int // 2n+1 boundaries: entry i is key buf[offs[2i]:offs[2i+1]], value buf[offs[2i+1]:offs[2i+2]]
-}
-
-// Reset empties the batch, keeping its capacity.
-func (b *Batch) Reset() {
-	b.buf = b.buf[:0]
-	b.offs = b.offs[:0]
-}
-
-// Len returns the number of entries in the batch.
-func (b *Batch) Len() int {
-	if len(b.offs) == 0 {
-		return 0
-	}
-	return (len(b.offs) - 1) / 2
-}
-
-// Key returns the i-th key. It aliases the batch arena: valid until the
-// next fill or Reset.
-func (b *Batch) Key(i int) []byte { return b.buf[b.offs[2*i]:b.offs[2*i+1]] }
-
-// Value returns the i-th value. It aliases the batch arena: valid until
-// the next fill or Reset.
-func (b *Batch) Value(i int) []byte { return b.buf[b.offs[2*i+1]:b.offs[2*i+2]] }
-
-// append copies one cell into the batch.
-func (b *Batch) append(k, v []byte) {
-	if len(b.offs) == 0 {
-		b.offs = append(b.offs, len(b.buf))
-	}
-	b.buf = append(b.buf, k...)
-	b.offs = append(b.offs, len(b.buf))
-	b.buf = append(b.buf, v...)
-	b.offs = append(b.offs, len(b.buf))
-}
-
-// BatchCursor iterates the leaf level one page at a time. Unlike Cursor it
-// holds no pin between NextBatch calls — each call pins one leaf, decodes
-// its remaining in-range cells into the caller's Batch, remembers the
-// right-sibling link and unpins — so one pager round-trip (lock, map
-// lookup, pin/unpin) is amortized over every cell of the leaf.
+// BatchCursor iterates the leaf level of a key range one page at a time.
+// It holds no pin between NextLeaf calls: each call pins one leaf, visits
+// its remaining in-range cells, remembers the right-sibling link and
+// unpins, so one pager round-trip (lock, map lookup, pin/unpin) is
+// amortized over every cell of the leaf.
 //
-// An optional exclusive upper bound confines the decode work to the
-// requested range: short scans (index nested-loops probes, child lookups)
-// copy only their few in-range cells, not the whole leaf.
+// An optional exclusive upper bound confines the work to the requested
+// range: short scans (index nested-loops probes, child lookups) visit
+// only their few in-range cells, not the whole leaf.
 //
-// Positioning is lazy: Seek stores the bounds and the first NextLeaf
-// performs the root-to-leaf descent, flowing straight into that leaf's
-// decode — a probe costs one descent, not a descent plus a re-read.
+// Positioning is lazy: SeekBatchRange stores the bounds and the first
+// NextLeaf performs the root-to-leaf descent, flowing straight into that
+// leaf's cells — a probe costs one descent, not a descent plus a re-read.
 type BatchCursor struct {
 	t      *Tree
 	lo     []byte       // seek key; retained until the descent happens
 	bound  []byte       // exclusive upper key; nil = to the end
 	seeked bool         // true once the descent has run
 	next   pager.PageID // next leaf to read; NilPage when exhausted
-	start  int          // first slot to decode in that leaf (Seek offset)
-}
-
-// FirstBatch positions a batch cursor at the smallest key.
-func (t *Tree) FirstBatch() *BatchCursor {
-	return t.SeekBatchRange(nil, nil)
-}
-
-// SeekBatch positions a batch cursor at the first key >= key.
-func (t *Tree) SeekBatch(key []byte) *BatchCursor {
-	return t.SeekBatchRange(key, nil)
+	start  int          // first slot to visit in that leaf (the seek offset)
 }
 
 // SeekBatchRange positions a batch cursor at the first key >= lo, bounded
@@ -107,38 +54,30 @@ func (c *BatchCursor) Reseek(lo []byte) {
 	c.t.SeekBatchRangeInto(c, lo, c.bound)
 }
 
-// descendToLeaf returns the pinned leaf that would hold key (nil = the
-// leftmost leaf).
-func (t *Tree) descendToLeaf(key []byte) (*pager.Page, error) {
+// seekLeaf descends from the root to the leaf that would hold lo (nil =
+// the leftmost leaf) and returns it pinned, with the slot of its first
+// cell >= lo. It is the one root-to-leaf descent of the read side: Get,
+// Delete, BatchCursor and LeafWalk all start here. (Insert records its
+// path for splits and Height follows leftmost links; both walk on their
+// own.)
+func (t *Tree) seekLeaf(lo []byte) (*pager.Page, int, error) {
 	id := t.root
 	for {
 		p, err := t.pg.Read(id)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		d := p.Data()
 		if nodeType(d) == typeLeaf {
-			return p, nil
+			return p, findInLeaf(d, lo), nil
 		}
-		var next pager.PageID
-		if key == nil {
-			next = link(d) // leftmost child
+		if lo == nil {
+			id = link(d) // leftmost child
 		} else {
-			_, next = childFor(d, key)
+			_, id = childFor(d, lo)
 		}
 		p.Unpin()
-		id = next
 	}
-}
-
-// seekLeaf returns the pinned leaf that would hold lo (nil = the leftmost
-// leaf) and the slot of the first cell >= lo in it.
-func (t *Tree) seekLeaf(lo []byte) (*pager.Page, int, error) {
-	p, err := t.descendToLeaf(lo)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, findInLeaf(p.Data(), lo), nil
 }
 
 // NextLeaf visits the in-range cells of the next non-empty leaf, calling
@@ -275,41 +214,6 @@ func (w *LeafWalk) start(lo []byte) (*pager.Page, int, error) {
 		p.Unpin()
 	}
 	return w.t.seekLeaf(lo)
-}
-
-// NextBatch fills b with the in-range cells of the next non-empty leaf. It
-// reports false when the leaf chain or the bound is exhausted. b is Reset
-// first; its previous contents are invalidated.
-func (c *BatchCursor) NextBatch(b *Batch) (bool, error) {
-	b.Reset()
-	return c.NextLeaf(b.append)
-}
-
-// ScanRangeBatch is the batched form of ScanRange: fn is called once per
-// leaf with a batch holding every (key, value) with lo <= key < hi from
-// that leaf. A nil hi means "to the end". fn returning false stops the
-// scan early. The batch contents are only valid during the call.
-func (t *Tree) ScanRangeBatch(lo, hi []byte, b *Batch, fn func(*Batch) bool) error {
-	c := t.SeekBatchRange(lo, hi)
-	for {
-		ok, err := c.NextBatch(b)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(b) {
-			return nil
-		}
-	}
-}
-
-// ScanPrefixBatch is the batched form of ScanPrefix: fn is called once per
-// leaf with a batch holding every (key, value) whose key begins with
-// prefix. fn returning false stops the scan early.
-func (t *Tree) ScanPrefixBatch(prefix []byte, b *Batch, fn func(*Batch) bool) error {
-	return t.ScanRangeBatch(prefix, PrefixSuccessor(prefix), b, fn)
 }
 
 // PrefixSuccessor returns the smallest key greater than every key with the

@@ -110,31 +110,18 @@ func childFor(d []byte, key []byte) (int, pager.PageID) {
 
 // Get returns the value stored under key. The returned slice is a copy.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	id := t.root
-	for {
-		p, err := t.pg.Read(id)
-		if err != nil {
-			return nil, false, err
-		}
-		d := p.Data()
-		if nodeType(d) == typeInternal {
-			_, next := childFor(d, key)
-			p.Unpin()
-			id = next
-			continue
-		}
-		i := findInLeaf(d, key)
-		if i < nkeys(d) {
-			k, v := leafCell(d, i)
-			if bytes.Equal(k, key) {
-				out := append([]byte(nil), v...)
-				p.Unpin()
-				return out, true, nil
-			}
-		}
-		p.Unpin()
-		return nil, false, nil
+	p, i, err := t.seekLeaf(key)
+	if err != nil {
+		return nil, false, err
 	}
+	defer p.Unpin()
+	d := p.Data()
+	if i < nkeys(d) {
+		if k, v := leafCell(d, i); bytes.Equal(k, key) {
+			return append([]byte(nil), v...), true, nil
+		}
+	}
+	return nil, false, nil
 }
 
 // pathEntry records one internal node on the root-to-leaf descent.
@@ -347,47 +334,18 @@ func (t *Tree) splitInternal(p *pager.Page, pos int, sep []byte, right pager.Pag
 // Delete removes key from the tree. It reports whether the key was found.
 // Leaves are not rebalanced (see package comment).
 func (t *Tree) Delete(key []byte) (bool, error) {
-	id := t.root
-	for {
-		p, err := t.pg.Read(id)
-		if err != nil {
-			return false, err
-		}
-		d := p.Data()
-		if nodeType(d) == typeInternal {
-			_, next := childFor(d, key)
-			p.Unpin()
-			id = next
-			continue
-		}
-		i := findInLeaf(d, key)
-		if i < nkeys(d) {
-			k, _ := leafCell(d, i)
-			if bytes.Equal(k, key) {
-				removeCellAt(d, i)
-				p.MarkDirty()
-				p.Unpin()
-				return true, nil
-			}
-		}
-		p.Unpin()
-		return false, nil
-	}
-}
-
-// Len counts the keys in the tree by scanning the leaf level.
-func (t *Tree) Len() (int, error) {
-	c, err := t.First()
+	p, i, err := t.seekLeaf(key)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	defer c.Close()
-	n := 0
-	for c.Valid() {
-		n++
-		if err := c.Next(); err != nil {
-			return 0, err
+	defer p.Unpin()
+	d := p.Data()
+	if i < nkeys(d) {
+		if k, _ := leafCell(d, i); bytes.Equal(k, key) {
+			removeCellAt(d, i)
+			p.MarkDirty()
+			return true, nil
 		}
 	}
-	return n, nil
+	return false, nil
 }

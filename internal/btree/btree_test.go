@@ -71,26 +71,14 @@ func TestInsertManySplits(t *testing.T) {
 		t.Fatalf("expected multi-level tree, height=%d", h)
 	}
 	// Verify full ordered iteration.
-	c, err := tr.First()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	count := 0
-	var prev []byte
-	for c.Valid() {
-		k := c.Key()
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("keys out of order: %q then %q", prev, k)
-		}
-		prev = append(prev[:0], k...)
-		count++
-		if err := c.Next(); err != nil {
-			t.Fatal(err)
+	keys, _ := scanRange(t, tr, nil, nil)
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			t.Fatalf("keys out of order: %q then %q", keys[i-1], keys[i])
 		}
 	}
-	if count != n {
-		t.Fatalf("iterated %d keys, want %d", count, n)
+	if len(keys) != n {
+		t.Fatalf("iterated %d keys, want %d", len(keys), n)
 	}
 }
 
@@ -107,7 +95,7 @@ func TestInsertReplace(t *testing.T) {
 	if err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("got %q ok=%v err=%v, want v2", v, ok, err)
 	}
-	if n, _ := tr.Len(); n != 1 {
+	if n := countKeys(t, tr); n != 1 {
 		t.Fatalf("len=%d, want 1", n)
 	}
 }
@@ -141,26 +129,22 @@ func TestSeekAndRange(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Insert(key(i*2), val(i*2)) // even keys only
 	}
-	c, err := tr.Seek(key(101)) // between 100 and 102
-	if err != nil {
+	var first []byte
+	if _, err := tr.SeekBatchRange(key(101), nil).NextLeaf(func(k, _ []byte) { // between 100 and 102
+		if first == nil {
+			first = append([]byte(nil), k...)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Valid() || !bytes.Equal(c.Key(), key(102)) {
-		t.Fatalf("seek landed on %q, want %q", c.Key(), key(102))
+	if !bytes.Equal(first, key(102)) {
+		t.Fatalf("seek landed on %q, want %q", first, key(102))
 	}
-	c.Close()
 
-	var got []string
-	err = tr.ScanRange(key(10), key(20), func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := scanRange(t, tr, key(10), key(20))
 	want := []string{"key-00000010", "key-00000012", "key-00000014", "key-00000016", "key-00000018"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("range got %v want %v", got, want)
+	if fmt.Sprintf("%s", got) != fmt.Sprint(want) {
+		t.Fatalf("range got %s want %v", got, want)
 	}
 }
 
@@ -171,13 +155,10 @@ func TestScanPrefix(t *testing.T) {
 	tr.Insert([]byte("a/2"), nil)
 	tr.Insert([]byte("ab/1"), nil)
 	tr.Insert([]byte("b/1"), nil)
-	var got []string
-	tr.ScanPrefix([]byte("a/"), func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if fmt.Sprint(got) != "[a/1 a/2]" {
-		t.Fatalf("prefix scan got %v", got)
+	prefix := []byte("a/")
+	got, _ := scanRange(t, tr, prefix, PrefixSuccessor(prefix))
+	if fmt.Sprintf("%s", got) != "[a/1 a/2]" {
+		t.Fatalf("prefix scan got %s", got)
 	}
 }
 
@@ -214,6 +195,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 			t.Fatalf("reopen get %d: %q ok=%v err=%v", i, v, ok, err)
 		}
 	}
+	if n := countKeys(t, tr2); n != 5000 {
+		t.Fatalf("reopened tree scans %d keys, want 5000", n)
+	}
 }
 
 func TestBulkLoadAndLookup(t *testing.T) {
@@ -231,7 +215,7 @@ func TestBulkLoadAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := tr.Len(); got != n {
+	if got := countKeys(t, tr); got != n {
 		t.Fatalf("len=%d want %d", got, n)
 	}
 	for _, probe := range []int{0, 1, 4999, 17000, n - 1} {
@@ -275,7 +259,7 @@ func TestBulkLoadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := tr.Len(); n != 0 {
+	if n := countKeys(t, tr); n != 0 {
 		t.Fatalf("empty bulk load has %d keys", n)
 	}
 }
@@ -337,23 +321,16 @@ func TestQuickAgainstMap(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	i := 0
-	c, err := tr.First()
-	if err != nil {
-		t.Fatal(err)
+	ks, vs := scanRange(t, tr, nil, nil)
+	if len(ks) != len(keys) {
+		t.Fatalf("iterated %d keys, model has %d", len(ks), len(keys))
 	}
-	defer c.Close()
-	for c.Valid() {
-		if i >= len(keys) || string(c.Key()) != keys[i] {
+	for i, k := range keys {
+		if string(ks[i]) != k {
 			t.Fatalf("iteration mismatch at %d", i)
 		}
-		if string(c.Value()) != model[keys[i]] {
-			t.Fatalf("value mismatch for %s", keys[i])
+		if string(vs[i]) != model[k] {
+			t.Fatalf("value mismatch for %s", k)
 		}
-		i++
-		c.Next()
-	}
-	if i != len(keys) {
-		t.Fatalf("iterated %d keys, model has %d", i, len(keys))
 	}
 }

@@ -2,9 +2,12 @@
 // keys and values on top of the pager, the second half of this project's
 // Berkeley DB substitution.
 //
-// Features used by the XML-DBMS: ordered insert and point lookup, range
-// cursors over a linked leaf level, and sorted bulk-loading (used when
-// shredding documents, where tuples arrive sorted by their "in" label).
+// Features used by the XML-DBMS: ordered insert, sorted bulk-loading
+// (used when shredding documents, where tuples arrive sorted by their
+// "in" label) and one read path. Every read descends from the root once
+// (seekLeaf) and then walks the linked leaf level a pinned leaf at a
+// time: Get for point lookups, BatchCursor (SeekBatchRange, NextLeaf,
+// Reseek) for key ranges, and LeafWalk for runs of short ordered visits.
 // Deletion removes cells from leaves without rebalancing; the paper's
 // project keeps updates "as simple as possible", and an underfull leaf is
 // still correct, merely wasteful.

@@ -155,6 +155,51 @@ func TestCatalogUpdateConcurrentWithQueries(t *testing.T) {
 	}
 }
 
+// TestCatalogAbortedUpdateKeepsEpoch fails a multi-target insert part
+// way (pages dirtied by an open update stay pinned, and an 8-frame pool
+// runs out after the first targets). The aborted statement reports
+// nothing applied, so the document keeps its epoch and its cached plans.
+func TestCatalogAbortedUpdateKeepsEpoch(t *testing.T) {
+	cache := plancache.New(32)
+	c, err := Open(t.TempDir(), Options{Store: store.Options{CacheFrames: 8}, PlanCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.LoadString("d", doc(1000)); err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		t.Helper()
+		d, err := c.Acquire("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Release()
+		if got, err := d.Engine(core.Config{Mode: core.ModeM4}).Query(`//y`); err != nil || got != "" {
+			t.Fatalf("//y = %q, err %v", got, err)
+		}
+	}
+	query()
+	before := c.List()[0].Epoch
+
+	res, err := c.Update("d", `insert node <y>new</y> into //x`)
+	if err == nil {
+		t.Fatal("the statement fit the pool: the test no longer reaches the abort path")
+	}
+	if res.Targets != 1000 || res.Applied != 0 || res.Seq != 0 {
+		t.Fatalf("aborted statement: res = %+v", res)
+	}
+	if info := c.List()[0]; info.Epoch != before || info.AppliedSeq != 0 {
+		t.Fatalf("aborted statement moved the document: epoch %d -> %d, seq %d", before, info.Epoch, info.AppliedSeq)
+	}
+	hits := cache.Stats().Hits
+	query()
+	if got := cache.Stats().Hits; got != hits+1 {
+		t.Fatalf("cached plan missed after the aborted statement (hits %d -> %d)", hits, got)
+	}
+}
+
 // TestCatalogRecoverReplaysWALAfterCrashedUpdate pins the crash-sweep ×
 // WAL-recovery interaction: a crash between the WAL flush and the stats
 // rewrite must either fully recover the update on reopen (WAL flushed)

@@ -13,7 +13,9 @@ type UpdateResult struct {
 	// Targets is how many nodes the target path selected.
 	Targets int
 	// Applied is how many subtree operations were actually performed
-	// (nested targets consumed by an enclosing delete are skipped).
+	// (nested targets consumed by an enclosing delete are skipped). It is
+	// 0 when the statement aborts; after a Commit error it still counts
+	// the operations, which may be durable.
 	Applied int
 	// Seq is the store's applied-update sequence after this statement;
 	// unchanged when the statement was a no-op.
@@ -89,7 +91,9 @@ func (e *Engine) UpdateParsed(u *xq.Update) (UpdateResult, error) {
 		}
 	}
 	if err != nil {
+		// The abort rolls back the targets already done: none is applied.
 		tx.Abort()
+		res.Applied = 0
 		return res, err
 	}
 	err = tx.Commit()

@@ -203,3 +203,44 @@ func TestEngineUpdateParseErrors(t *testing.T) {
 		t.Fatal("non-constant fragment accepted")
 	}
 }
+
+// wideUpdDoc is a flat document of n <a> elements, wide enough that
+// inserting into all of them dirties more pages than a tiny pool holds.
+func wideUpdDoc(n int) string {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		sb.WriteString("<a><b>" + strings.Repeat("t", 40) + "</b></a>")
+	}
+	sb.WriteString("</r>")
+	return sb.String()
+}
+
+// TestEngineUpdateAbortReportsNothingApplied makes a multi-target insert
+// fail part way: pages dirtied by an open update stay pinned, so on an
+// 8-frame pool the statement exhausts the pool after its first targets.
+// The aborted statement must report nothing applied and leave the
+// sequence and the document unchanged.
+func TestEngineUpdateAbortReportsNothingApplied(t *testing.T) {
+	doc := wideUpdDoc(400)
+	opts := store.Options{CacheFrames: 8}
+	// One target fits the pool, so the failure below comes after the
+	// statement's first target was done.
+	if res, err := updEngineOpts(t, doc, opts).Update(`insert node <x>new</x> into /r`); err != nil || res.Applied != 1 {
+		t.Fatalf("single-target insert on the small pool: res=%+v err=%v", res, err)
+	}
+	e := updEngineOpts(t, doc, opts)
+	res, err := e.Update(`insert node <x>new</x> into //a`)
+	if err == nil {
+		t.Fatal("the statement fit the pool: the test no longer reaches the abort path")
+	}
+	if res.Targets != 400 || res.Applied != 0 || res.Seq != 0 {
+		t.Fatalf("aborted statement: res = %+v", res)
+	}
+	if seq := e.st.AppliedSeq(); seq != 0 {
+		t.Fatalf("applied seq moved to %d", seq)
+	}
+	if got, err := e.Query(`//x`); err != nil || got != "" {
+		t.Fatalf("aborted insert left %q (err %v)", got, err)
+	}
+}

@@ -235,7 +235,8 @@ func (s *Server) handleUpdateDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseQueryConfig maps the request's URL parameters onto core.Config,
-// starting from the server defaults.
+// starting from the server defaults. The timeout and the memory budget
+// are caps: a request may lower them, never lift them (see capped).
 func (s *Server) parseQueryConfig(r *http.Request) (core.Config, error) {
 	cfg := s.cfg.Defaults
 	q := r.URL.Query()
@@ -251,14 +252,15 @@ func (s *Server) parseQueryConfig(r *http.Request) (core.Config, error) {
 		if err != nil || d < 0 {
 			return cfg, &apiError{http.StatusBadRequest, fmt.Sprintf("bad timeout %q", v)}
 		}
-		cfg.Timeout = d
+		cfg.Timeout = capped(cfg.Timeout, d)
 	}
 	for _, p := range []struct {
-		key string
-		dst *int
+		key   string
+		dst   *int
+		isCap bool
 	}{
-		{"membudget", &cfg.MemBudget},
-		{"sortbudget", &cfg.SortBudget},
+		{"membudget", &cfg.MemBudget, true},
+		{"sortbudget", &cfg.SortBudget, false},
 	} {
 		if v := q.Get(p.key); v != "" {
 			// A negative budget would read as "unlimited" downstream and
@@ -267,10 +269,23 @@ func (s *Server) parseQueryConfig(r *http.Request) (core.Config, error) {
 			if err != nil || n < 0 {
 				return cfg, &apiError{http.StatusBadRequest, fmt.Sprintf("bad %s %q", p.key, v)}
 			}
+			if p.isCap {
+				n = capped(*p.dst, n)
+			}
 			*p.dst = n
 		}
 	}
 	return cfg, nil
+}
+
+// capped returns the value a request gets for a server cap whose default
+// is def: the smaller of the two when the server sets a cap (def > 0),
+// and def when the request asks for 0 ("unlimited").
+func capped[T int | time.Duration](def, req T) T {
+	if req == 0 || (def > 0 && def < req) {
+		return def
+	}
+	return req
 }
 
 // ParseMode maps the CLI/HTTP engine names onto core modes.

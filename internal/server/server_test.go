@@ -307,7 +307,7 @@ func TestParseQueryConfig(t *testing.T) {
 	}{
 		{"", "", 1 << 22, 1 << 20},
 		{"membudget=4096&sortbudget=1024", "", 4096, 1024},
-		{"membudget=0", "", 0, 1 << 20},
+		{"membudget=0", "", 1 << 22, 1 << 20},
 		{"membudget=-1", "membudget", 0, 0},
 		{"sortbudget=-5", "sortbudget", 0, 0},
 		{"membudget=lots", "membudget", 0, 0},
@@ -324,6 +324,37 @@ func TestParseQueryConfig(t *testing.T) {
 		}
 		if err != nil || cfg.MemBudget != c.mem || cfg.SortBudget != c.sortBuf {
 			t.Errorf("%q: membudget %d sortbudget %d (err %v), want %d %d", c.query, cfg.MemBudget, cfg.SortBudget, err, c.mem, c.sortBuf)
+		}
+	}
+}
+
+// TestRequestCannotLiftCaps checks that ?timeout= and ?membudget= may
+// lower the server's caps but never lift them: 0 ("unlimited") and larger
+// values keep the cap. Without a server cap the request's value applies.
+func TestRequestCannotLiftCaps(t *testing.T) {
+	capped := New(Config{Defaults: core.Config{Timeout: time.Minute, MemBudget: 1 << 22}})
+	open := New(Config{})
+	for _, c := range []struct {
+		srv     *Server
+		query   string
+		timeout time.Duration
+		mem     int
+	}{
+		{capped, "", time.Minute, 1 << 22},
+		{capped, "timeout=0", time.Minute, 1 << 22},
+		{capped, "timeout=1h", time.Minute, 1 << 22},
+		{capped, "timeout=5s", 5 * time.Second, 1 << 22},
+		{capped, "membudget=0", time.Minute, 1 << 22},
+		{capped, "membudget=9223372036854775807", time.Minute, 1 << 22},
+		{capped, "membudget=4096&timeout=1ms", time.Millisecond, 4096},
+		{open, "", 0, 0},
+		{open, "timeout=1h&membudget=1000000000", time.Hour, 1000000000},
+		{open, "timeout=0&membudget=0", 0, 0},
+	} {
+		cfg, err := c.srv.parseQueryConfig(httptest.NewRequest("POST", "/query?"+c.query, nil))
+		if err != nil || cfg.Timeout != c.timeout || cfg.MemBudget != c.mem {
+			t.Errorf("%q (server caps %v, %d): timeout %v membudget %d (err %v), want %v %d",
+				c.query, c.srv.cfg.Defaults.Timeout, c.srv.cfg.Defaults.MemBudget, cfg.Timeout, cfg.MemBudget, err, c.timeout, c.mem)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,26 +42,21 @@ func (s *Store) ScanAll(fn func(xasr.Tuple) bool) error {
 }
 
 // ScanRange iterates tuples with lo <= in < hi in document order. hi = 0
-// means "to the end of the relation". Internally it pulls from the batched
-// cursor, so tuples are decoded a leaf at a time.
+// means "to the end of the relation". Like every closure scan it drains
+// the matching cursor, so tuples are decoded a leaf at a time.
 func (s *Store) ScanRange(lo, hi uint32, fn func(xasr.Tuple) bool) error {
 	tc, err := s.OpenRange(lo, hi)
 	if err != nil {
 		return err
 	}
 	defer tc.Close()
-	for {
-		t, ok, err := tc.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(t) {
-			return nil
-		}
-	}
+	return tc.drain(fn)
+}
+
+// ScanDescendants iterates the proper descendants of the node (in, out) in
+// document order via a primary range scan.
+func (s *Store) ScanDescendants(in, out uint32, fn func(xasr.Tuple) bool) error {
+	return s.ScanRange(in+1, out, fn)
 }
 
 // LabelEntry is an index-only row from the label index: the identity of a
@@ -91,431 +87,7 @@ func (s *Store) ScanLabelRange(typ xasr.NodeType, value string, lo, hi uint32, f
 		return err
 	}
 	defer lc.Close()
-	for {
-		e, ok, err := lc.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(e) {
-			return nil
-		}
-	}
-}
-
-// tupleLeafCursor is the shared decode core of TupleCursor and
-// ChildCursor: a batch cursor over one tree range plus reusable decode
-// buffers and a sticky error. Each buffer-pool round-trip decodes a whole
-// leaf of XASR tuples into a reusable array, so next() is an array index
-// in the steady state and the only per-leaf allocation is one shared
-// backing string for the tuple values.
-type tupleLeafCursor struct {
-	bc     btree.BatchCursor
-	decode func(k, v []byte) (xasr.Tuple, []byte, error)
-	tuples []xasr.Tuple
-	i      int
-	done   bool
-	err    error  // sticky: set on the first decode/read failure
-	valbuf []byte // scratch: concatenated value bytes of the leaf
-	voffs  []int  // scratch: cumulative value end offsets per tuple
-}
-
-// reset prepares a (possibly pooled) cursor for a fresh range.
-func (c *tupleLeafCursor) reset(decode func(k, v []byte) (xasr.Tuple, []byte, error)) {
-	c.decode = decode
-	c.tuples = c.tuples[:0]
-	c.i = 0
-	c.done = false
-	c.err = nil
-}
-
-// next returns the next tuple, or ok=false at the end of the range. The
-// returned tuple is a value copy and stays valid indefinitely. After an
-// error the cursor stays in the error state: retrying keeps returning
-// the same error rather than fabricating tuples from a corrupt leaf.
-func (c *tupleLeafCursor) next() (xasr.Tuple, bool, error) {
-	if c.err != nil {
-		return xasr.Tuple{}, false, c.err
-	}
-	for c.i >= len(c.tuples) && !c.done {
-		if err := c.fill(); err != nil {
-			c.err = err
-			c.done = true
-			c.tuples = c.tuples[:0]
-			return xasr.Tuple{}, false, err
-		}
-	}
-	if c.i >= len(c.tuples) {
-		return xasr.Tuple{}, false, nil
-	}
-	t := c.tuples[c.i]
-	c.i++
-	return t, true, nil
-}
-
-// nextBatch copies up to len(dst) tuples into dst, returning how many were
-// produced; 0 means the range is exhausted. In the steady state this is one
-// memcpy per leaf, with no per-tuple work at all — it is the fill path for
-// the batch-at-a-time executor.
-func (c *tupleLeafCursor) nextBatch(dst []xasr.Tuple) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n := 0
-	for n < len(dst) {
-		if c.i >= len(c.tuples) {
-			if c.done {
-				break
-			}
-			if err := c.fill(); err != nil {
-				c.err = err
-				c.done = true
-				c.tuples = c.tuples[:0]
-				return 0, err
-			}
-			continue
-		}
-		k := copy(dst[n:], c.tuples[c.i:])
-		n += k
-		c.i += k
-	}
-	return n, nil
-}
-
-// fill decodes the next leaf's worth of tuples. Numeric columns are
-// decoded straight off the pinned page; value bytes are gathered into one
-// scratch buffer whose single string conversion backs every tuple's Value
-// — one allocation per leaf instead of one per tuple.
-func (c *tupleLeafCursor) fill() error {
-	c.tuples = c.tuples[:0]
-	c.valbuf = c.valbuf[:0]
-	c.voffs = c.voffs[:0]
-	c.i = 0
-	var derr error
-	ok, err := c.bc.NextLeaf(func(k, v []byte) {
-		if derr != nil {
-			return
-		}
-		t, raw, err := c.decode(k, v)
-		if err != nil {
-			derr = err
-			return
-		}
-		c.tuples = append(c.tuples, t)
-		c.valbuf = append(c.valbuf, raw...)
-		c.voffs = append(c.voffs, len(c.valbuf))
-	})
-	if err != nil {
-		return err
-	}
-	if derr != nil {
-		return derr
-	}
-	if !ok {
-		c.done = true
-		return nil
-	}
-	shared := string(c.valbuf)
-	off := 0
-	for i := range c.tuples {
-		end := c.voffs[i]
-		c.tuples[i].Value = shared[off:end]
-		off = end
-	}
-	return nil
-}
-
-// TupleCursor is a pull-style cursor over a primary-tree in-range, used by
-// the physical scan operators of milestones 3 and 4. Cursors (with their
-// decode buffers) are pooled per store, so opening one is allocation-free
-// in the steady state — important for the index nested-loops join, which
-// opens a cursor per outer row.
-type TupleCursor struct {
-	tupleLeafCursor
-	pool *sync.Pool // home pool while open; nil after Close
-	lo   uint32     // opened lower bound; SeekGE never goes below it
-}
-
-// OpenRange returns a cursor over tuples with lo <= in < hi in document
-// order (hi = 0 means unbounded).
-func (s *Store) OpenRange(lo, hi uint32) (*TupleCursor, error) {
-	if !s.loaded {
-		return nil, ErrNotLoaded
-	}
-	var hiKey []byte
-	if hi != 0 {
-		hiKey = xasr.PrimaryKey(hi)
-	}
-	tc, _ := s.tcPool.Get().(*TupleCursor)
-	if tc == nil {
-		tc = &TupleCursor{}
-	}
-	tc.reset(xasr.DecodePrimaryRaw)
-	tc.pool = &s.tcPool
-	tc.lo = lo
-	s.primary.SeekBatchRangeInto(&tc.bc, xasr.PrimaryKey(lo), hiKey)
-	return tc, nil
-}
-
-// Next returns the next tuple, or ok=false at the end of the range. The
-// returned tuple is a value copy and stays valid indefinitely.
-func (tc *TupleCursor) Next() (xasr.Tuple, bool, error) { return tc.next() }
-
-// NextBatch copies up to len(dst) tuples into dst, returning how many were
-// produced; 0 means the range is exhausted.
-func (tc *TupleCursor) NextBatch(dst []xasr.Tuple) (int, error) { return tc.nextBatch(dst) }
-
-// SeekGE advances the cursor so the next tuple returned is the first
-// remaining one with in >= target. Within the already-decoded leaf this
-// is a binary search (no I/O at all); beyond it the batch cursor
-// re-seeks, replacing a leaf-by-leaf crawl with one fresh descent. The
-// cursor is forward-only: target must not precede a tuple already
-// returned, and both bounds of the opened range keep applying (targets
-// below the range's lower bound are clamped to it).
-func (tc *TupleCursor) SeekGE(target uint32) error {
-	if tc.err != nil {
-		return tc.err
-	}
-	if target < tc.lo {
-		target = tc.lo
-	}
-	rest := tc.tuples[tc.i:]
-	k := sort.Search(len(rest), func(i int) bool { return rest[i].In >= target })
-	tc.i += k
-	if k < len(rest) || tc.done {
-		return nil
-	}
-	tc.bc.Reseek(xasr.PrimaryKey(target))
-	tc.tuples = tc.tuples[:0]
-	tc.i = 0
-	return nil
-}
-
-// Close returns the cursor and its buffers to the store's pool. The
-// cursor must not be used afterwards; tuples already returned by Next
-// remain valid.
-func (tc *TupleCursor) Close() {
-	if tc.pool == nil {
-		return
-	}
-	pool := tc.pool
-	tc.pool = nil
-	pool.Put(tc)
-}
-
-// LabelRangeCursor is a pull-style cursor over label-index entries for one
-// (type, value), optionally restricted to an in-range. Batch-backed:
-// entries are decoded a leaf at a time into a reusable array, with no
-// per-entry allocation at all (label entries are index-only numerics).
-type LabelRangeCursor struct {
-	bc      btree.BatchCursor
-	entries []LabelEntry
-	i       int
-	done    bool
-	err     error      // sticky: set on the first decode/read failure
-	pool    *sync.Pool // home pool while open; nil after Close
-	// typ/value remember the index prefix so SeekGE can rebuild keys;
-	// lo is the opened lower bound SeekGE never goes below.
-	typ   xasr.NodeType
-	value string
-	lo    uint32
-}
-
-// OpenLabelRange returns a cursor over the label-index entries for
-// (typ, value) with lo <= in < hi in document order (hi = 0 unbounded).
-func (s *Store) OpenLabelRange(typ xasr.NodeType, value string, lo, hi uint32) (*LabelRangeCursor, error) {
-	if !s.loaded {
-		return nil, ErrNotLoaded
-	}
-	if s.labelIdx == nil {
-		return nil, ErrNoLabelIndex
-	}
-	var hiKey []byte
-	if hi != 0 {
-		hiKey = xasr.LabelKey(typ, value, hi)
-	} else {
-		// One past the last possible in for this (type, value) prefix.
-		hiKey = xasr.LabelKey(typ, value, ^uint32(0))
-		hiKey = append(hiKey, 0)
-	}
-	lc, _ := s.lcPool.Get().(*LabelRangeCursor)
-	if lc == nil {
-		lc = &LabelRangeCursor{}
-	}
-	lc.entries = lc.entries[:0]
-	lc.i = 0
-	lc.done = false
-	lc.err = nil
-	lc.pool = &s.lcPool
-	lc.typ = typ
-	lc.value = value
-	lc.lo = lo
-	s.labelIdx.SeekBatchRangeInto(&lc.bc, xasr.LabelKey(typ, value, lo), hiKey)
-	return lc, nil
-}
-
-// Next returns the next entry, or ok=false at the end of the range. After
-// an error the cursor stays in the error state.
-func (lc *LabelRangeCursor) Next() (LabelEntry, bool, error) {
-	if lc.err != nil {
-		return LabelEntry{}, false, lc.err
-	}
-	for lc.i >= len(lc.entries) && !lc.done {
-		if err := lc.fill(); err != nil {
-			lc.err = err
-			lc.done = true
-			lc.entries = lc.entries[:0]
-			return LabelEntry{}, false, err
-		}
-	}
-	if lc.i >= len(lc.entries) {
-		return LabelEntry{}, false, nil
-	}
-	e := lc.entries[lc.i]
-	lc.i++
-	return e, true, nil
-}
-
-// NextBatch copies up to len(dst) entries into dst, returning how many
-// were produced; 0 means the range is exhausted. One memcpy per leaf in
-// the steady state.
-func (lc *LabelRangeCursor) NextBatch(dst []LabelEntry) (int, error) {
-	if lc.err != nil {
-		return 0, lc.err
-	}
-	n := 0
-	for n < len(dst) {
-		if lc.i >= len(lc.entries) {
-			if lc.done {
-				break
-			}
-			if err := lc.fill(); err != nil {
-				lc.err = err
-				lc.done = true
-				lc.entries = lc.entries[:0]
-				return 0, err
-			}
-			continue
-		}
-		k := copy(dst[n:], lc.entries[lc.i:])
-		n += k
-		lc.i += k
-	}
-	return n, nil
-}
-
-// SeekGE advances the cursor so the next entry returned is the first
-// remaining one with In >= target, staying within the (type, value)
-// prefix and both bounds of the opened range (targets below the lower
-// bound are clamped to it). Within the already-decoded leaf this is a
-// binary search; beyond it the batch cursor re-seeks with one fresh
-// descent. Forward-only, like TupleCursor.SeekGE.
-func (lc *LabelRangeCursor) SeekGE(target uint32) error {
-	if lc.err != nil {
-		return lc.err
-	}
-	if target < lc.lo {
-		target = lc.lo
-	}
-	rest := lc.entries[lc.i:]
-	k := sort.Search(len(rest), func(i int) bool { return rest[i].In >= target })
-	lc.i += k
-	if k < len(rest) || lc.done {
-		return nil
-	}
-	lc.bc.Reseek(xasr.LabelKey(lc.typ, lc.value, target))
-	lc.entries = lc.entries[:0]
-	lc.i = 0
-	return nil
-}
-
-// fill decodes the next leaf's worth of entries. Label entries are
-// index-only numerics, so this allocates nothing in the steady state.
-func (lc *LabelRangeCursor) fill() error {
-	lc.entries = lc.entries[:0]
-	lc.i = 0
-	var derr error
-	ok, err := lc.bc.NextLeaf(func(k, v []byte) {
-		if derr != nil {
-			return
-		}
-		in, out, parent, err := xasr.DecodeLabelEntry(k, v)
-		if err != nil {
-			derr = err
-			return
-		}
-		lc.entries = append(lc.entries, LabelEntry{In: in, Out: out, ParentIn: parent})
-	})
-	if err != nil {
-		return err
-	}
-	if derr != nil {
-		return derr
-	}
-	if !ok {
-		lc.done = true
-	}
-	return nil
-}
-
-// Close returns the cursor and its buffers to the store's pool. The
-// cursor must not be used afterwards.
-func (lc *LabelRangeCursor) Close() {
-	if lc.pool == nil {
-		return
-	}
-	pool := lc.pool
-	lc.pool = nil
-	pool.Put(lc)
-}
-
-// ChildCursor is a pull-style cursor over the children of one node via the
-// parent index. Batch-backed like TupleCursor.
-type ChildCursor struct {
-	tupleLeafCursor
-	pool *sync.Pool // home pool while open; nil after Close
-}
-
-// OpenChildren returns a cursor over the children of parentIn in document
-// order.
-func (s *Store) OpenChildren(parentIn uint32) (*ChildCursor, error) {
-	if !s.loaded {
-		return nil, ErrNotLoaded
-	}
-	if s.parentIdx == nil {
-		return nil, ErrNoParentIndex
-	}
-	prefix := xasr.ParentPrefix(parentIn)
-	cc, _ := s.ccPool.Get().(*ChildCursor)
-	if cc == nil {
-		cc = &ChildCursor{}
-	}
-	cc.reset(xasr.DecodeParentEntryRaw)
-	cc.pool = &s.ccPool
-	// Keys are (be32 parent_in, be32 in): the prefix range is exactly
-	// [prefix(parentIn), successor(prefix)).
-	s.parentIdx.SeekBatchRangeInto(&cc.bc, prefix, btree.PrefixSuccessor(prefix))
-	return cc, nil
-}
-
-// Next returns the next child tuple, or ok=false past the last child.
-func (cc *ChildCursor) Next() (xasr.Tuple, bool, error) { return cc.next() }
-
-// NextBatch copies up to len(dst) child tuples into dst, returning how
-// many were produced; 0 means the last child has been returned.
-func (cc *ChildCursor) NextBatch(dst []xasr.Tuple) (int, error) { return cc.nextBatch(dst) }
-
-// Close returns the cursor and its buffers to the store's pool. The
-// cursor must not be used afterwards.
-func (cc *ChildCursor) Close() {
-	if cc.pool == nil {
-		return
-	}
-	pool := cc.pool
-	cc.pool = nil
-	pool.Put(cc)
+	return lc.drain(fn)
 }
 
 // ScanChildren iterates the children of parentIn in document order using
@@ -526,25 +98,303 @@ func (s *Store) ScanChildren(parentIn uint32, fn func(xasr.Tuple) bool) error {
 		return err
 	}
 	defer cc.Close()
-	for {
-		t, ok, err := cc.Next()
+	return cc.drain(fn)
+}
+
+// leafCursor is the one pull-cursor core behind TupleCursor, ChildCursor
+// and LabelRangeCursor: a batch cursor over one key range of a tree, the
+// rows of the current leaf decoded into a reusable array, and a sticky
+// error. Each buffer-pool round-trip decodes a whole leaf, so Next is an
+// array index in the steady state. Only the per-leaf decode (fill)
+// differs between the three cursors. Cursors and their buffers are pooled
+// per store, so opening one is allocation-free in the steady state —
+// important for the index nested-loops join, which opens a cursor per
+// outer row.
+//
+// Every key of the three trees is a fixed prefix followed by be32(in)
+// (the primary's prefix is empty), so one scratch buffer holds the seek
+// key and SeekGE rewrites its last four bytes.
+type leafCursor[R any] struct {
+	bc   btree.BatchCursor
+	fill func(c *leafCursor[R]) (bool, error) // appends the next leaf's rows; false at the end
+	rows []R
+	i    int
+	done bool
+	err  error      // sticky: set on the first decode/read failure
+	pool *sync.Pool // home pool while open; nil after Close
+	lo   uint32     // opened lower bound; SeekGE never goes below it
+	key  []byte     // scratch: the seek key, then the upper bound key
+	seek []byte     // the seek key: prefix + be32(in), aliasing key
+	// Tuple decode scratch: the leaf's value bytes, concatenated, and the
+	// end offset of each row's value in them.
+	valbuf []byte
+	voffs  []int
+}
+
+// pooled returns a cursor from pool, or a new one.
+func pooled[C any](pool *sync.Pool) *C {
+	if c, ok := pool.Get().(*C); ok {
+		return c
+	}
+	return new(C)
+}
+
+// open readies a fresh or pooled cursor for the keys of t from
+// prefix+be32(lo) up to prefix+be32(hi), or to the end of the prefix when
+// hi is 0. It does no I/O.
+func (c *leafCursor[R]) open(pool *sync.Pool, t *btree.Tree, prefix []byte, lo, hi uint32, fill func(*leafCursor[R]) (bool, error)) {
+	n := len(prefix) + 4
+	c.key = binary.BigEndian.AppendUint32(append(c.key[:0], prefix...), lo)
+	var bound []byte
+	if hi != 0 {
+		c.key = binary.BigEndian.AppendUint32(append(c.key, prefix...), hi)
+		bound = c.key[n:]
+	} else {
+		bound = btree.PrefixSuccessor(prefix)
+	}
+	c.seek = c.key[:n:n]
+	c.fill, c.pool, c.lo = fill, pool, lo
+	c.rows, c.i, c.done, c.err = c.rows[:0], 0, false, nil
+	t.SeekBatchRangeInto(&c.bc, c.seek, bound)
+}
+
+// more reports whether a decoded row is ready, decoding leaves as needed.
+// A failed fill leaves the cursor in the error state: retrying keeps
+// returning the same error rather than fabricating rows from a corrupt
+// leaf.
+func (c *leafCursor[R]) more() bool {
+	for c.i >= len(c.rows) && !c.done {
+		c.rows, c.i = c.rows[:0], 0
+		ok, err := c.fill(c)
 		if err != nil {
-			return err
+			c.err, c.rows = err, c.rows[:0]
 		}
-		if !ok {
-			return nil
-		}
-		if !fn(t) {
+		c.done = !ok || err != nil
+	}
+	return c.i < len(c.rows)
+}
+
+// Next returns the next row, or ok=false at the end of the range. The
+// returned row is a value copy and stays valid indefinitely.
+func (c *leafCursor[R]) Next() (R, bool, error) {
+	if !c.more() {
+		var zero R
+		return zero, false, c.err
+	}
+	r := c.rows[c.i]
+	c.i++
+	return r, true, nil
+}
+
+// NextBatch copies up to len(dst) rows into dst, returning how many were
+// produced; 0 means the range is exhausted. In the steady state this is
+// one memcpy per leaf, with no per-row work at all — it is the fill path
+// for the batch-at-a-time executor.
+func (c *leafCursor[R]) NextBatch(dst []R) (int, error) {
+	n := 0
+	for n < len(dst) && c.more() {
+		k := copy(dst[n:], c.rows[c.i:])
+		n += k
+		c.i += k
+	}
+	if c.err != nil {
+		return 0, c.err
+	}
+	return n, nil
+}
+
+// drain feeds the remaining rows to fn until fn returns false: the one
+// loop of the closure scans.
+func (c *leafCursor[R]) drain(fn func(R) bool) error {
+	for c.more() {
+		r := c.rows[c.i]
+		c.i++
+		if !fn(r) {
 			return nil
 		}
 	}
+	return c.err
 }
 
-// ScanDescendants iterates the proper descendants of the node (in, out) in
-// document order via a primary range scan.
-func (s *Store) ScanDescendants(in, out uint32, fn func(xasr.Tuple) bool) error {
-	return s.ScanRange(in+1, out, fn)
+// seekGE advances the cursor so the next row returned is the first
+// remaining one whose in label (read by in) is >= target. Within the
+// already-decoded leaf this is a binary search (no I/O at all); beyond it
+// the batch cursor re-seeks, replacing a leaf-by-leaf crawl with one
+// fresh descent. The cursor is forward-only: target must not precede a
+// row already returned, and both bounds of the opened range keep applying
+// (targets below the lower bound are clamped to it).
+func (c *leafCursor[R]) seekGE(target uint32, in func(*R) uint32) error {
+	if c.err != nil {
+		return c.err
+	}
+	target = max(target, c.lo)
+	rest := c.rows[c.i:]
+	k := sort.Search(len(rest), func(i int) bool { return in(&rest[i]) >= target })
+	c.i += k
+	if k < len(rest) || c.done {
+		return nil
+	}
+	binary.BigEndian.PutUint32(c.seek[len(c.seek)-4:], target)
+	c.bc.Reseek(c.seek)
+	c.rows, c.i = c.rows[:0], 0
+	return nil
 }
+
+// release returns self, the cursor embedding c, to its home pool. A
+// second call is a no-op, not a double pool put.
+func (c *leafCursor[R]) release(self any) {
+	if pool := c.pool; pool != nil {
+		c.pool = nil
+		pool.Put(self)
+	}
+}
+
+// fillTuples decodes the next leaf of XASR tuples with decode. Numeric
+// columns are decoded straight off the pinned page; value bytes are
+// gathered into one scratch buffer whose single string conversion backs
+// every tuple's Value — one allocation per leaf instead of one per tuple.
+func fillTuples(c *leafCursor[xasr.Tuple], decode func(k, v []byte) (xasr.Tuple, []byte, error)) (bool, error) {
+	c.valbuf, c.voffs = c.valbuf[:0], c.voffs[:0]
+	var derr error
+	ok, err := c.bc.NextLeaf(func(k, v []byte) {
+		if derr != nil {
+			return
+		}
+		t, raw, err := decode(k, v)
+		if err != nil {
+			derr = err
+			return
+		}
+		c.rows = append(c.rows, t)
+		c.valbuf = append(c.valbuf, raw...)
+		c.voffs = append(c.voffs, len(c.valbuf))
+	})
+	if err == nil {
+		err = derr
+	}
+	if !ok || err != nil {
+		return false, err
+	}
+	shared := string(c.valbuf)
+	off := 0
+	for i, end := range c.voffs {
+		c.rows[i].Value = shared[off:end]
+		off = end
+	}
+	return true, nil
+}
+
+// fillPrimary and fillChildren decode leaves of the primary tree and of
+// the parent index.
+func fillPrimary(c *leafCursor[xasr.Tuple]) (bool, error) {
+	return fillTuples(c, xasr.DecodePrimaryRaw)
+}
+
+func fillChildren(c *leafCursor[xasr.Tuple]) (bool, error) {
+	return fillTuples(c, xasr.DecodeParentEntryRaw)
+}
+
+// fillLabels decodes the next leaf of label-index entries. They are
+// index-only numerics, so this allocates nothing in the steady state.
+func fillLabels(c *leafCursor[LabelEntry]) (bool, error) {
+	var derr error
+	ok, err := c.bc.NextLeaf(func(k, v []byte) {
+		if derr != nil {
+			return
+		}
+		in, out, parent, err := xasr.DecodeLabelEntry(k, v)
+		if err != nil {
+			derr = err
+			return
+		}
+		c.rows = append(c.rows, LabelEntry{In: in, Out: out, ParentIn: parent})
+	})
+	if err == nil {
+		err = derr
+	}
+	return ok && err == nil, err
+}
+
+// TupleCursor is a pull-style cursor over a primary-tree in-range, used by
+// the physical scan operators of milestones 3 and 4. Next, NextBatch and
+// their contracts come from leafCursor.
+type TupleCursor struct{ leafCursor[xasr.Tuple] }
+
+// OpenRange returns a cursor over tuples with lo <= in < hi in document
+// order (hi = 0 means unbounded).
+func (s *Store) OpenRange(lo, hi uint32) (*TupleCursor, error) {
+	if !s.loaded {
+		return nil, ErrNotLoaded
+	}
+	tc := pooled[TupleCursor](&s.tcPool)
+	tc.open(&s.tcPool, s.primary, nil, lo, hi, fillPrimary)
+	return tc, nil
+}
+
+// SeekGE advances the cursor so the next tuple returned is the first
+// remaining one with in >= target (see leafCursor.seekGE).
+func (tc *TupleCursor) SeekGE(target uint32) error {
+	return tc.seekGE(target, func(t *xasr.Tuple) uint32 { return t.In })
+}
+
+// Close returns the cursor and its buffers to the store's pool. The
+// cursor must not be used afterwards; tuples already returned by Next
+// remain valid.
+func (tc *TupleCursor) Close() { tc.release(tc) }
+
+// LabelRangeCursor is a pull-style cursor over label-index entries for one
+// (type, value), optionally restricted to an in-range. Entries are
+// index-only numerics: decoding a leaf allocates nothing at all.
+type LabelRangeCursor struct{ leafCursor[LabelEntry] }
+
+// OpenLabelRange returns a cursor over the label-index entries for
+// (typ, value) with lo <= in < hi in document order (hi = 0 unbounded).
+func (s *Store) OpenLabelRange(typ xasr.NodeType, value string, lo, hi uint32) (*LabelRangeCursor, error) {
+	if !s.loaded {
+		return nil, ErrNotLoaded
+	}
+	if s.labelIdx == nil {
+		return nil, ErrNoLabelIndex
+	}
+	lc := pooled[LabelRangeCursor](&s.lcPool)
+	lc.open(&s.lcPool, s.labelIdx, xasr.LabelPrefix(typ, value), lo, hi, fillLabels)
+	return lc, nil
+}
+
+// SeekGE advances the cursor so the next entry returned is the first
+// remaining one with In >= target, staying within the (type, value)
+// prefix (see leafCursor.seekGE).
+func (lc *LabelRangeCursor) SeekGE(target uint32) error {
+	return lc.seekGE(target, func(e *LabelEntry) uint32 { return e.In })
+}
+
+// Close returns the cursor and its buffers to the store's pool. The
+// cursor must not be used afterwards.
+func (lc *LabelRangeCursor) Close() { lc.release(lc) }
+
+// ChildCursor is a pull-style cursor over the children of one node via the
+// parent index, yielding full tuples index-only.
+type ChildCursor struct{ leafCursor[xasr.Tuple] }
+
+// OpenChildren returns a cursor over the children of parentIn in document
+// order.
+func (s *Store) OpenChildren(parentIn uint32) (*ChildCursor, error) {
+	if !s.loaded {
+		return nil, ErrNotLoaded
+	}
+	if s.parentIdx == nil {
+		return nil, ErrNoParentIndex
+	}
+	cc := pooled[ChildCursor](&s.ccPool)
+	// Keys are (be32 parent_in, be32 in): the children are exactly the
+	// keys with the prefix be32(parentIn).
+	cc.open(&s.ccPool, s.parentIdx, xasr.ParentPrefix(parentIn), 0, 0, fillChildren)
+	return cc, nil
+}
+
+// Close returns the cursor and its buffers to the store's pool. The
+// cursor must not be used afterwards.
+func (cc *ChildCursor) Close() { cc.release(cc) }
 
 // CardLabel returns the statistics cardinality for an element label.
 func (s *Store) CardLabel(label string) int64 {
