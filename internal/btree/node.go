@@ -237,6 +237,13 @@ func encodeInternalCell(dst []byte, key []byte, child pager.PageID) []byte {
 // maxCellSize is the largest cell that fits in an otherwise empty page.
 func maxCellSize(pageSize int) int { return pageSize - hdrSize - 2 }
 
+// CellFits reports whether a leaf cell with a klen-byte key and a
+// vlen-byte value fits a page whose usable size is pageSize: the bound
+// Insert and BulkLoad enforce.
+func CellFits(pageSize, klen, vlen int) bool {
+	return uvarintLen(uint64(klen))+uvarintLen(uint64(vlen))+klen+vlen <= maxCellSize(pageSize)
+}
+
 // checkCellSize validates that a cell fits in a page at all.
 func checkCellSize(pageSize, cellSize int) error {
 	if cellSize > maxCellSize(pageSize) {

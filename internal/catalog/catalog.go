@@ -45,6 +45,10 @@ const okMarker = "ok"
 // name. Callers map it to their own not-found signaling (HTTP 404).
 var ErrNotFound = errors.New("no such document")
 
+// ErrBadName is returned by Load for a name that is not 1 to 64 of
+// [A-Za-z0-9._-], starting with a letter or a digit.
+var ErrBadName = errors.New("invalid document name")
+
 // Options configures a catalog.
 type Options struct {
 	// Store is applied to every document store opened or created.
@@ -170,7 +174,7 @@ func (c *Catalog) recover(name string) error {
 // invalidated. Returns the new statistics epoch.
 func (c *Catalog) Load(name string, r io.Reader) (uint64, error) {
 	if !nameRE.MatchString(name) {
-		return 0, fmt.Errorf("catalog: invalid document name %q", name)
+		return 0, fmt.Errorf("catalog: %w %q", ErrBadName, name)
 	}
 	// Shred outside the catalog lock: loads are long and must not block
 	// queries on other documents.

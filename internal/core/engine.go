@@ -309,22 +309,6 @@ func (e *Engine) Query(src string) (string, error) {
 	return res.XML, nil
 }
 
-// QueryExpr evaluates an already-parsed query (bypassing the plan cache,
-// which keys on query text).
-func (e *Engine) QueryExpr(q xq.Expr) (string, error) {
-	e.st.ReadLock()
-	defer e.st.ReadUnlock()
-	switch e.cfg.Mode {
-	case ModeM1, ModeM2:
-		return e.evalDirect(q)
-	}
-	out, _, _, err := e.compileAndRun(q)
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
 // evalDirect runs the plan-less milestone 1/2 evaluators.
 func (e *Engine) evalDirect(q xq.Expr) (string, error) {
 	switch e.cfg.Mode {
@@ -345,10 +329,10 @@ func (e *Engine) evalDirect(q xq.Expr) (string, error) {
 	}
 }
 
-// compileAndRun is the uncached milestone 3/4 path: compile to a
-// physical plan and execute it under one per-query context. QueryExpr and
-// ExplainAnalyze both go through it so analyzed runs execute under
-// exactly the conditions of real queries.
+// compileAndRun is ExplainAnalyze's uncached milestone 3/4 path: compile
+// to a physical plan and execute it under one per-query context, begun and
+// ended as in Handle.Query, so an analyzed run executes under exactly the
+// conditions of a real query.
 func (e *Engine) compileAndRun(q xq.Expr) ([]byte, exec.XPlan, *exec.Ctx, error) {
 	ctx, err := e.begin(nil)
 	if err != nil {

@@ -14,8 +14,15 @@
 // Queries accept per-request knobs as URL parameters (mode, timeout,
 // membudget, sortbudget — mapping one-to-one onto core.Config) and a
 // session id; canceling the session aborts its in-flight queries and
-// nothing else, which the per-query engine handles make safe. Responses are JSON by default; format=xml returns the bare
-// result document.
+// nothing else, which the per-query engine handles make safe.
+//
+// Responses are JSON by default; format=xml returns the bare result
+// document. The /query JSON envelope (QueryResponse) has a stable layout:
+// its fields in declaration order, indented by two spaces, with a
+// trailing newline, byte for byte what encoding/json writes, though the
+// answer is escaped straight into the response (writeQueryResponse).
+// Either format is written after Handle.Query has returned, so after the
+// store's read lock is released: a slow client never holds up a writer.
 package server
 
 import (
@@ -27,6 +34,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"xqdb/internal/catalog"
 	"xqdb/internal/core"
@@ -35,6 +43,7 @@ import (
 	"xqdb/internal/opt"
 	"xqdb/internal/plancache"
 	"xqdb/internal/store"
+	"xqdb/internal/xmltok"
 	"xqdb/internal/xq"
 )
 
@@ -150,6 +159,8 @@ func fail(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, limit.ErrTimeout):
 		status = http.StatusGatewayTimeout
+	case errors.Is(err, store.ErrValueTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -172,10 +183,32 @@ func (s *Server) handleLoadDoc(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	epoch, err := s.cfg.Catalog.Load(name, body)
 	if err != nil {
-		fail(w, &apiError{http.StatusBadRequest, err.Error()})
+		// The tokenizer reports a body cut off at MaxBodyBytes inside
+		// markup as a syntax error; the reader keeps the real cause.
+		var me *http.MaxBytesError
+		if _, rerr := body.Read(nil); errors.As(rerr, &me) {
+			err = rerr
+		}
+		fail(w, loadError(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"name": name, "epoch": epoch})
+}
+
+// loadError maps a failed load onto its cause: a malformed document or a
+// bad name is the client's 400, a body over MaxBodyBytes a 413; fail maps
+// a value too long for a page to 413 and anything else, an I/O fault
+// above all, to 500.
+func loadError(err error) error {
+	var se *xmltok.SyntaxError
+	var me *http.MaxBytesError
+	switch {
+	case errors.As(err, &se), errors.Is(err, catalog.ErrBadName):
+		return &apiError{http.StatusBadRequest, err.Error()}
+	case errors.As(err, &me):
+		return &apiError{http.StatusRequestEntityTooLarge, err.Error()}
+	}
+	return err
 }
 
 func (s *Server) handleDropDoc(w http.ResponseWriter, r *http.Request) {
@@ -200,7 +233,8 @@ type UpdateResponse struct {
 // handleUpdateDoc applies the body as one update statement, atomically
 // and durably. Statement parse errors are 400, an unknown document 404, a
 // busy store 409 (updates on one document serialize in the catalog, so
-// this needs a concurrent non-catalog writer), anything else 500.
+// this needs a concurrent non-catalog writer), a value too long for a
+// page 413, anything else 500.
 func (s *Server) handleUpdateDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	src, err := s.readQuery(w, r)
@@ -318,7 +352,8 @@ func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (string, erro
 	return string(src), nil
 }
 
-// QueryResponse is the JSON body of a /query result.
+// QueryResponse is the JSON body of a /query result. handleQuery writes
+// it with writeQueryResponse, in exactly the bytes writeJSON would.
 type QueryResponse struct {
 	Doc      string        `json:"doc"`
 	Epoch    uint64        `json:"epoch"`
@@ -326,6 +361,154 @@ type QueryResponse struct {
 	CacheHit bool          `json:"cacheHit"`
 	Elapsed  float64       `json:"elapsedMs"`
 	Counters exec.Counters `json:"counters"`
+}
+
+// scratchSize bounds the buffer writeQueryResponse escapes the answer
+// through: a large answer goes out in chunks of about this size.
+const scratchSize = 64 << 10
+
+// writeQueryResponse writes resp as writeJSON(w, 200, resp) would, byte
+// for byte, but escapes the answer straight from resp.XML into w through
+// one scratch buffer of at most scratchSize bytes: the answer passes
+// through neither json.Encoder nor an indent pass.
+func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := make([]byte, 0, min(len(resp.Doc)+len(resp.XML)+1024, scratchSize))
+	buf = append(buf, "{\n  \"doc\": "...)
+	buf = appendJSONString(buf, resp.Doc)
+	buf = append(buf, ",\n  \"epoch\": "...)
+	buf = strconv.AppendUint(buf, resp.Epoch, 10)
+	buf = append(buf, ",\n  \"xml\": \""...)
+	buf, err := writeJSONChars(w, buf, resp.XML)
+	if err != nil {
+		return // the client is gone
+	}
+	// The rest is a few hundred bytes; json.Marshal formats the float and
+	// the counters exactly as the encoder would.
+	elapsed, _ := json.Marshal(resp.Elapsed)
+	counters, _ := json.MarshalIndent(resp.Counters, "  ", "  ")
+	if cap(buf)-len(buf) < len(elapsed)+len(counters)+64 {
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
+		buf = buf[:0]
+	}
+	buf = append(buf, "\",\n  \"cacheHit\": "...)
+	buf = strconv.AppendBool(buf, resp.CacheHit)
+	buf = append(buf, ",\n  \"elapsedMs\": "...)
+	buf = append(buf, elapsed...)
+	buf = append(buf, ",\n  \"counters\": "...)
+	buf = append(buf, counters...)
+	buf = append(buf, "\n}\n"...)
+	w.Write(buf)
+}
+
+// maxEscape is the most bytes appendJSONChars writes for one input byte
+// (a control byte becomes \u00XX).
+const maxEscape = 6
+
+// writeJSONChars escapes s as the body of a JSON string into buf, writing
+// buf to w whenever it fills, and returns buf holding what is not yet
+// written. cap(buf) must be at least maxEscape*utf8.UTFMax.
+func writeJSONChars(w io.Writer, buf []byte, s string) ([]byte, error) {
+	for len(s) > 0 {
+		n := (cap(buf) - len(buf)) / maxEscape
+		if n < utf8.UTFMax {
+			if _, err := w.Write(buf); err != nil {
+				return buf, err
+			}
+			buf = buf[:0]
+			continue
+		}
+		if n < len(s) {
+			// Cut at a rune start, so no rune is split across two chunks.
+			// If none of the last UTFMax bytes starts a rune, no valid
+			// rune spans the cut either.
+			for i := n; i > n-utf8.UTFMax; i-- {
+				if utf8.RuneStart(s[i]) {
+					n = i
+					break
+				}
+			}
+		} else {
+			n = len(s)
+		}
+		buf = appendJSONChars(buf, s[:n])
+		s = s[n:]
+	}
+	return buf, nil
+}
+
+// appendJSONString appends s to dst as a JSON string, exactly as
+// encoding/json does with SetEscapeHTML(false).
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	dst = appendJSONChars(dst, s)
+	return append(dst, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the bytes appendJSONChars copies as they are: printable
+// ASCII other than '"' and '\\'.
+var jsonSafe = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
+
+// appendJSONChars is appendJSONString without the quotes: '"' and '\\'
+// are backslash-escaped, control bytes get their short escape or \u00XX,
+// each byte of invalid UTF-8 becomes \ufffd, and U+2028 and U+2029 are
+// escaped; every other run of bytes is copied with one append.
+func appendJSONChars(dst []byte, s string) []byte {
+	run := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if jsonSafe[b] {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
+			dst = append(dst, s[run:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			run = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[run:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[run:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		run = i
+	}
+	return append(dst, s[run:]...)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +556,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, res.XML)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
+	writeQueryResponse(w, &QueryResponse{
 		Doc:      doc.Name(),
 		Epoch:    doc.Epoch(),
 		XML:      res.XML,

@@ -27,8 +27,16 @@ type testServer struct {
 
 func newTestServer(t *testing.T) *testServer {
 	t.Helper()
+	return newTestServerWith(t, catalog.Options{})
+}
+
+// newTestServerWith serves a catalog opened with opts and a fresh plan
+// cache.
+func newTestServerWith(t *testing.T, opts catalog.Options) *testServer {
+	t.Helper()
 	cache := plancache.New(64)
-	cat, err := catalog.Open(t.TempDir(), catalog.Options{PlanCache: cache})
+	opts.PlanCache = cache
+	cat, err := catalog.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

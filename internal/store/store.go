@@ -426,7 +426,11 @@ func (s *Store) Load(r io.Reader) error {
 	}
 
 	var rec []byte
+	limit := s.valueLimit(labelSort != nil, parentSort != nil)
 	stats, texts, err := xasr.ShredStride(xmltok.New(r), s.opts.labelStride(), func(t xasr.Tuple) error {
+		if err := checkValue(t.Type, t.Value, limit); err != nil {
+			return err
+		}
 		rec = encodeKV(rec[:0], xasr.PrimaryKey(t.In), xasr.EncodePrimaryValue(t))
 		if err := primSort.Add(rec); err != nil {
 			return err
@@ -481,6 +485,45 @@ func (s *Store) Load(r io.Reader) error {
 // LoadString is Load from a string, for tests and examples.
 func (s *Store) LoadString(doc string) error {
 	return s.Load(strings.NewReader(doc))
+}
+
+// ErrValueTooLarge reports a node value (an element name or a text) too
+// long for its index cells to fit one page: the store has no overflow
+// pages. The wrapping error names the node kind, its size and the limit.
+var ErrValueTooLarge = errors.New("store: value too large for a page")
+
+// valueLimit returns the longest value whose cells fit one page in the
+// primary tree and in whichever secondary indexes the store keeps: the
+// primary value is out, parent_in, type and the value; the label key is
+// type, uvarint length, value and in; the parent value is out, type and
+// the value.
+func (s *Store) valueLimit(labelIdx, parentIdx bool) int {
+	page := s.pg.UsableSize()
+	fits := func(n int) bool {
+		var tmp [binary.MaxVarintLen64]byte
+		labelKey := 1 + binary.PutUvarint(tmp[:], uint64(n)) + n + 4
+		return btree.CellFits(page, 4, 9+n) &&
+			(!labelIdx || btree.CellFits(page, labelKey, 8)) &&
+			(!parentIdx || btree.CellFits(page, 8, 5+n))
+	}
+	n := page
+	for n > 0 && !fits(n) {
+		n--
+	}
+	return n
+}
+
+// checkValue returns ErrValueTooLarge when a node's value is longer than
+// limit bytes.
+func checkValue(typ xasr.NodeType, value string, limit int) error {
+	if len(value) <= limit {
+		return nil
+	}
+	kind := "text"
+	if typ == xasr.TypeElem {
+		kind = "element name"
+	}
+	return fmt.Errorf("%w: %s of %d bytes, limit %d", ErrValueTooLarge, kind, len(value), limit)
 }
 
 func bulkLoadFromSorter(pg *pager.Pager, sorter *recfile.Sorter) (*btree.Tree, error) {

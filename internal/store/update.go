@@ -221,8 +221,9 @@ type fnode struct {
 const fragWrapper = "xqdb-fragment-wrapper"
 
 // parseFragment parses an XML fragment (a forest: elements and top-level
-// text are both allowed) into fnodes.
-func parseFragment(frag string) ([]*fnode, error) {
+// text are both allowed) into fnodes. A value longer than limit bytes is
+// ErrValueTooLarge (see Store.valueLimit).
+func parseFragment(frag string, limit int) ([]*fnode, error) {
 	tz := xmltok.New(strings.NewReader("<" + fragWrapper + ">" + frag + "</" + fragWrapper + ">"))
 	top := &fnode{}
 	stack := []*fnode{top}
@@ -236,6 +237,9 @@ func parseFragment(frag string) ([]*fnode, error) {
 		}
 		switch tok.Kind {
 		case xmltok.StartElement:
+			if err := checkValue(xasr.TypeElem, tok.Name, limit); err != nil {
+				return nil, err
+			}
 			n := &fnode{typ: xasr.TypeElem, value: tok.Name}
 			p := stack[len(stack)-1]
 			p.kids = append(p.kids, n)
@@ -243,6 +247,9 @@ func parseFragment(frag string) ([]*fnode, error) {
 		case xmltok.EndElement:
 			stack = stack[:len(stack)-1]
 		case xmltok.Text:
+			if err := checkValue(xasr.TypeText, tok.Text, limit); err != nil {
+				return nil, err
+			}
 			p := stack[len(stack)-1]
 			p.kids = append(p.kids, &fnode{typ: xasr.TypeText, value: tok.Text})
 		}
@@ -513,7 +520,7 @@ func (tx *Tx) InsertSubtree(target uint32, pos InsertPos, frag string) error {
 	if tx.done {
 		return errors.New("store: transaction finished")
 	}
-	forest, err := parseFragment(frag)
+	forest, err := parseFragment(frag, tx.s.valueLimit(tx.s.labelIdx != nil, tx.s.parentIdx != nil))
 	if err != nil {
 		return err
 	}
@@ -598,7 +605,7 @@ func (tx *Tx) ReplaceSubtree(target uint32, frag string) error {
 	if tx.done {
 		return errors.New("store: transaction finished")
 	}
-	forest, err := parseFragment(frag)
+	forest, err := parseFragment(frag, tx.s.valueLimit(tx.s.labelIdx != nil, tx.s.parentIdx != nil))
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xqdb/internal/fault"
@@ -555,5 +556,85 @@ func TestCheckpointAfterBigUpdates(t *testing.T) {
 	}
 	if s.LastCheckpointLSN() == 0 {
 		t.Error("no checkpoint recorded")
+	}
+}
+
+// TestValueLimit: values up to the limit load, insert and serialize back;
+// one byte more fails the load or the statement with ErrValueTooLarge,
+// naming the kind, the size and the limit, and leaves the store as it was.
+func TestValueLimit(t *testing.T) {
+	s := newStore(t, "", Options{})
+	limit := s.valueLimit(true, true)
+	if limit != 4056 {
+		t.Fatalf("limit on %d-byte pages = %d, want 4056", s.pg.UsableSize(), limit)
+	}
+	long := func(c byte, i int) string { return fmt.Sprintf("%c%04d", c, i) + strings.Repeat(string(c), limit-5) }
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&doc, "<t>%s</t><%s/>", long('x', i), long('e', i))
+	}
+	doc.WriteString("</r>")
+	if err := s.LoadString(doc.String()); err != nil {
+		t.Fatalf("load at the limit: %v", err)
+	}
+	if got := xml(t, s); got != doc.String() {
+		t.Fatalf("round trip at the limit differs (%d vs %d bytes)", len(got), len(doc.String()))
+	}
+	tx := begin(t, s)
+	r := lookupLabel(t, s, "r")
+	for i := 30; i < 60; i++ {
+		if err := tx.InsertSubtree(tx.Translate(r), InsertInto, fmt.Sprintf("<t>%s</t><%s/>", long('x', i), long('e', i))); err != nil {
+			t.Fatalf("insert %d at the limit: %v", i, err)
+		}
+	}
+	commit(t, tx)
+	before := xml(t, s)
+	if want := doc.Len() + 30*(2*limit+10); len(before) != want {
+		t.Fatalf("after inserts: %d bytes, want %d", len(before), want)
+	}
+
+	for _, c := range []struct{ frag, want string }{
+		{"<t>" + strings.Repeat("x", 5000) + "</t>", "text of 5000 bytes, limit 4056"},
+		{"<" + strings.Repeat("e", 4100) + "/>", "element name of 4100 bytes, limit 4056"},
+		{"<t>" + strings.Repeat("x", limit+1) + "</t>", "text of 4057 bytes, limit 4056"},
+	} {
+		tx := begin(t, s)
+		err := tx.InsertSubtree(r, InsertInto, c.frag)
+		tx.Abort()
+		if !errors.Is(err, ErrValueTooLarge) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("insert: err = %v, want ErrValueTooLarge with %q", err, c.want)
+		}
+		if got := xml(t, s); got != before {
+			t.Fatal("a failed insert changed the document")
+		}
+		err = newStore(t, "", Options{}).LoadString("<r>" + c.frag + "</r>")
+		if !errors.Is(err, ErrValueTooLarge) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("load: err = %v, want ErrValueTooLarge with %q", err, c.want)
+		}
+	}
+}
+
+// TestCDATAAfterMarkupStored: the shredder and update fragments read a
+// CDATA section right after a tag in place.
+func TestCDATAAfterMarkupStored(t *testing.T) {
+	for _, c := range []struct{ doc, want string }{
+		{`<r><a><![CDATA[x]]></a></r>`, `<r><a>x</a></r>`},
+		{`<r><a><b/><![CDATA[c]]><d/></a></r>`, `<r><a><b/>c<d/></a></r>`},
+		{`<r><a>p<![CDATA[q]]>r</a></r>`, `<r><a>pqr</a></r>`},
+	} {
+		s := newStore(t, c.doc, Options{})
+		if got := xml(t, s); got != c.want {
+			t.Errorf("load %s: %s, want %s", c.doc, got, c.want)
+		}
+	}
+	s := newStore(t, `<r/>`, Options{})
+	tx := begin(t, s)
+	if err := tx.InsertSubtree(lookupLabel(t, s, "r"), InsertInto, `<a><b/><![CDATA[c]]><d/></a><![CDATA[e]]>`); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	if got, want := xml(t, s), `<r><a><b/>c<d/></a>e</r>`; got != want {
+		t.Errorf("insert: %s, want %s", got, want)
 	}
 }

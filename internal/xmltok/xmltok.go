@@ -12,6 +12,7 @@ package xmltok
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -140,7 +141,8 @@ func (t *Tokenizer) Next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		if head[0] == '<' {
+		// A CDATA section starts a text run; any other '<' starts markup.
+		if head[0] == '<' && !t.atCDATA() {
 			t.readByte()
 			tok, skip, err := t.readMarkup()
 			if err != nil {
@@ -212,49 +214,60 @@ func (t *Tokenizer) skipPI() error {
 	}
 }
 
-// skipDecl consumes markup after "<!": comments, CDATA handled separately,
-// and DOCTYPE or other declarations (with nested bracket support).
+// atCDATA reports whether the input continues with "<![CDATA[".
+func (t *Tokenizer) atCDATA() bool {
+	h, _ := t.r.Peek(len(cdataOpen))
+	return string(h) == cdataOpen
+}
+
+const cdataOpen = "<![CDATA["
+
+// skipDecl consumes the markup after "<!": a comment, or a declaration
+// such as DOCTYPE. A CDATA section never gets here (Next and readText read
+// it as text). A declaration ends where encoding/xml ends a directive: at
+// the first '>' outside quotes and outside nested <...>, skipping
+// comments; the byte after "<!" is taken as it is.
 func (t *Tokenizer) skipDecl() error {
-	// Peek to distinguish <!-- , <![CDATA[ and <!DOCTYPE.
-	head, err := t.r.Peek(2)
-	if err == nil && string(head) == "--" {
-		t.offset += 2
-		t.r.Discard(2)
+	b, err := t.readByte()
+	if err != nil {
+		return t.errf("unterminated declaration")
+	}
+	switch b {
+	case '-':
+		if b, err := t.readByte(); err != nil || b != '-' {
+			return t.errf("invalid sequence <!- not part of <!--")
+		}
 		return t.skipComment()
+	case '[':
+		return t.errf("invalid <![ sequence")
 	}
-	if head7, err := t.r.Peek(7); err == nil && string(head7) == "[CDATA[" {
-		// CDATA is handled by readText; reaching here means CDATA appeared
-		// where text was not being collected, i.e. we were called from
-		// readMarkup. Treat it as a text token by pushing back: simplest is
-		// to parse it here and stash as pending text. CDATA between markup
-		// is rare; we parse it directly.
-		t.offset += 7
-		t.r.Discard(7)
-		text, err := t.readCDATA()
-		if err != nil {
-			return err
-		}
-		if strings.TrimSpace(text) != "" || t.opts.KeepWhitespace {
-			t.pending = &Token{Kind: Text, Text: text}
-		}
-		return nil
-	}
-	// DOCTYPE or similar: consume until the matching '>' accounting for
-	// one level of internal subset brackets.
+	var quote byte
 	depth := 0
 	for {
 		b, err := t.readByte()
 		if err != nil {
 			return t.errf("unterminated declaration")
 		}
-		switch b {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '>':
-			if depth <= 0 {
+		switch {
+		case quote != 0:
+			if b == quote {
+				quote = 0
+			}
+		case b == '"' || b == '\'':
+			quote = b
+		case b == '>':
+			if depth == 0 {
 				return nil
+			}
+			depth--
+		case b == '<':
+			if h, err := t.r.Peek(3); err == nil && string(h) == "!--" {
+				t.discard(3)
+				if err := t.skipComment(); err != nil {
+					return err
+				}
+			} else {
+				depth++
 			}
 		}
 	}
@@ -274,6 +287,8 @@ func (t *Tokenizer) skipComment() error {
 	}
 }
 
+// readCDATA reads a CDATA section's content after "<![CDATA[", with line
+// ends normalized (see writeNormalized).
 func (t *Tokenizer) readCDATA() (string, error) {
 	t.buf.Reset()
 	var p1, p2 byte
@@ -286,8 +301,21 @@ func (t *Tokenizer) readCDATA() (string, error) {
 			s := t.buf.String()
 			return s[:len(s)-2], nil // drop the buffered "]]"
 		}
-		t.buf.WriteByte(b)
+		t.writeNormalized(b, p2)
 		p1, p2 = p2, b
+	}
+}
+
+// writeNormalized buffers the raw byte b, read after the raw byte prev,
+// with XML's line-end normalization: "\r\n" and a lone "\r" become "\n".
+// A "\r" that a character reference produces is not normalized.
+func (t *Tokenizer) writeNormalized(b, prev byte) {
+	switch {
+	case b == '\r':
+		t.buf.WriteByte('\n')
+	case b == '\n' && prev == '\r':
+	default:
+		t.buf.WriteByte(b)
 	}
 }
 
@@ -394,6 +422,7 @@ func (t *Tokenizer) readAttr(elem string) (Attr, error) {
 		return Attr{}, t.errf("expected quoted value for attribute %s", name)
 	}
 	t.buf.Reset()
+	var prev byte
 	for {
 		b, err := t.readByte()
 		if err != nil {
@@ -406,7 +435,8 @@ func (t *Tokenizer) readAttr(elem string) (Attr, error) {
 			}
 			return Attr{Name: name, Value: val}, nil
 		}
-		t.buf.WriteByte(b)
+		t.writeNormalized(b, prev)
+		prev = b
 	}
 }
 
@@ -433,64 +463,98 @@ func (t *Tokenizer) readEndTag() (Token, error) {
 	return Token{Kind: EndElement, Name: name}, nil
 }
 
-// readText collects character data up to the next '<'. CDATA sections are
-// folded in verbatim (no entity decoding inside them); entity references
-// in ordinary character data are resolved. Whitespace-only runs return ""
+// readText collects character data up to the next '<' that does not open
+// a CDATA section. CDATA sections are folded in verbatim (no entity
+// decoding inside them); entity references in ordinary character data are
+// resolved; line ends are normalized. Whitespace-only runs return ""
 // unless KeepWhitespace. The terminating '<' is left unconsumed.
 func (t *Tokenizer) readText() (string, error) {
+	// out collects the run when a CDATA section splits it; t.buf holds the
+	// ordinary text since the last section, entity references undecoded.
 	var out strings.Builder
 	t.buf.Reset()
-	// flush decodes the pending ordinary-text segment into out.
-	flush := func() error {
-		if t.buf.Len() == 0 {
-			return nil
-		}
-		dec, err := t.decodeEntities(t.buf.String())
-		if err != nil {
-			return err
-		}
-		out.WriteString(dec)
-		t.buf.Reset()
-		return nil
-	}
 	for {
-		head, err := t.r.Peek(1)
-		if err == io.EOF {
+		// Copy the buffered bytes up to the next '<' or '\r' in one write.
+		n := t.r.Buffered()
+		if n == 0 {
+			if _, err := t.r.Peek(1); err == io.EOF {
+				break
+			} else if err != nil {
+				return "", err
+			}
+			n = t.r.Buffered()
+		}
+		chunk, _ := t.r.Peek(n)
+		i := bytes.IndexByte(chunk, '<')
+		if i < 0 {
+			i = len(chunk)
+		}
+		if j := bytes.IndexByte(chunk[:i], '\r'); j >= 0 {
+			i = j
+		}
+		t.buf.Write(chunk[:i])
+		if i == len(chunk) {
+			t.discard(i)
+			continue
+		}
+		stop := chunk[i]
+		t.discard(i)
+		if stop == '\r' {
+			// "\r\n" and a lone "\r" read as "\n" (see writeNormalized).
+			t.discard(1)
+			t.buf.WriteByte('\n')
+			if h, err := t.r.Peek(1); err == nil && h[0] == '\n' {
+				t.discard(1)
+			}
+			continue
+		}
+		// CDATA continues the text run; anything else ends it.
+		if !t.atCDATA() {
 			break
 		}
+		t.discard(len(cdataOpen))
+		dec, err := t.decodeEntities(t.buf.String())
 		if err != nil {
 			return "", err
 		}
-		if head[0] == '<' {
-			// CDATA continues the text run; anything else ends it.
-			if h, err := t.r.Peek(9); err == nil && string(h) == "<![CDATA[" {
-				t.offset += 9
-				t.r.Discard(9)
-				if err := flush(); err != nil {
-					return "", err
-				}
-				// readCDATA uses t.buf internally; its result is verbatim.
-				cd, err := t.readCDATA()
-				if err != nil {
-					return "", err
-				}
-				t.buf.Reset()
-				out.WriteString(cd)
-				continue
-			}
-			break
+		out.WriteString(dec)
+		// readCDATA uses t.buf internally; its result is verbatim.
+		cd, err := t.readCDATA()
+		if err != nil {
+			return "", err
 		}
-		b, _ := t.readByte()
-		t.buf.WriteByte(b)
+		out.WriteString(cd)
+		t.buf.Reset()
 	}
-	if err := flush(); err != nil {
+	text, err := t.decodeEntities(t.buf.String())
+	if err != nil {
 		return "", err
 	}
-	text := out.String()
-	if !t.opts.KeepWhitespace && strings.TrimSpace(text) == "" {
+	if out.Len() > 0 {
+		out.WriteString(text)
+		text = out.String()
+	}
+	if !t.opts.KeepWhitespace && allSpace(text) {
 		return "", nil
 	}
 	return text, nil
+}
+
+// discard skips n bytes the caller has peeked at.
+func (t *Tokenizer) discard(n int) {
+	t.r.Discard(n)
+	t.offset += int64(n)
+}
+
+// allSpace reports whether s is empty or holds only XML whitespace
+// (space, tab, CR, LF); other Unicode spaces are content.
+func allSpace(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isSpace(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // decodeEntities resolves the five predefined entities and numeric

@@ -1,6 +1,7 @@
 package xqdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,43 @@ func TestGenerators(t *testing.T) {
 	// Generated documents must be loadable and queryable.
 	if _, err := Eval(d1, `for $a in //author return $a`); err != nil {
 		t.Errorf("DBLP document not queryable: %v", err)
+	}
+}
+
+// TestCDATAAfterMarkup: a CDATA section right after a tag is read in
+// place, by M1 over the parsed document and by every engine over a stored
+// one; CDATA after text and before more text makes one text node.
+func TestCDATAAfterMarkup(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i, c := range []struct {
+		doc, query, want string
+		nodes            int64
+	}{
+		{`<r><a><![CDATA[x]]></a></r>`, `//a`, `<a>x</a>`, 4},
+		{`<r><a><![CDATA[x]]></a></r>`, `/r`, `<r><a>x</a></r>`, 4},
+		{`<r><a><b/><![CDATA[c]]><d/></a></r>`, `/r`, `<r><a><b/>c<d/></a></r>`, 6},
+		{`<r><a>p<![CDATA[q]]>r</a></r>`, `//a`, `<a>pqr</a>`, 4},
+		{`<r><a><![CDATA[x<&]]>y</a></r>`, `//a/text()`, `x&lt;&amp;y`, 4},
+	} {
+		if got, err := Eval(c.doc, c.query); err != nil || got != c.want {
+			t.Errorf("Eval(%s, %s) = %q (%v), want %q", c.doc, c.query, got, err, c.want)
+		}
+		doc, err := db.CreateDocument(fmt.Sprintf("d%d", i), strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Mode{M1, M2, M3, M4, NaiveTPM, M4BadStats} {
+			if got, err := doc.Query(c.query, QueryOptions{Mode: m}); err != nil || got != c.want {
+				t.Errorf("%s over stored %s: %s = %q (%v), want %q", m, c.doc, c.query, got, err, c.want)
+			}
+		}
+		if st := doc.Stats(); st.Nodes != c.nodes {
+			t.Errorf("stored %s: %d nodes, want %d", c.doc, st.Nodes, c.nodes)
+		}
+		doc.Close()
 	}
 }
