@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -332,5 +333,35 @@ func TestQuickAgainstMap(t *testing.T) {
 		if string(vs[i]) != model[k] {
 			t.Fatalf("value mismatch for %s", k)
 		}
+	}
+}
+
+// BulkLoad allocates per page, not per cell: cells are encoded through
+// one reused buffer.
+func TestBulkLoadAllocsPerPage(t *testing.T) {
+	pg := newPager(t, 64)
+	const n = 20000
+	var key, val [8]byte
+	var pages int64
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		i := 0
+		before := pg.Stats().Allocations
+		_, err = BulkLoad(pg, func() (k, v []byte, ok bool, err error) {
+			if i == n {
+				return nil, nil, false, nil
+			}
+			binary.BigEndian.PutUint64(key[:], uint64(i))
+			i++
+			return key[:], val[:], true, nil
+		})
+		pages = pg.Stats().Allocations - before
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d cells, %d pages, %.0f allocations", n, pages, allocs)
+	if allocs > 4*float64(pages) {
+		t.Fatalf("BulkLoad of %d cells into %d pages made %.0f allocations, want at most 4 per page", n, pages, allocs)
 	}
 }

@@ -34,7 +34,7 @@ func BulkLoad(pg *pager.Pager, next func() (key, value []byte, ok bool, err erro
 	curUsed := 0
 	curCount := 0
 	var curFirst []byte
-	var prevKey []byte
+	var prevKey, cell []byte // reused for every cell
 	havePrev := false
 
 	finishLeaf := func() {
@@ -80,7 +80,8 @@ func BulkLoad(pg *pager.Pager, next func() (key, value []byte, ok bool, err erro
 		if curCount == 0 {
 			curFirst = append([]byte(nil), key...)
 		}
-		if !insertCellAt(cur.Data(), curCount, encodeLeafCell(nil, key, val)) {
+		cell = encodeLeafCell(cell[:0], key, val)
+		if !insertCellAt(cur.Data(), curCount, cell) {
 			cur.Unpin()
 			return nil, fmt.Errorf("btree: bulk load cell does not fit")
 		}
@@ -112,7 +113,8 @@ func BulkLoad(pg *pager.Pager, next func() (key, value []byte, ok bool, err erro
 				if count > 0 && used+size+2*count+2 > fillTarget {
 					break
 				}
-				if !insertCellAt(d, count, encodeInternalCell(nil, level[i].firstKey, level[i].id)) {
+				cell = encodeInternalCell(cell[:0], level[i].firstKey, level[i].id)
+				if !insertCellAt(d, count, cell) {
 					break
 				}
 				used += size

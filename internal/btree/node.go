@@ -212,26 +212,15 @@ func removeCellAt(d []byte, i int) {
 
 // encodeLeafCell appends a leaf cell for (key, val) to dst.
 func encodeLeafCell(dst []byte, key, val []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	dst = append(dst, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(val)))
-	dst = append(dst, tmp[:n]...)
-	dst = append(dst, key...)
-	dst = append(dst, val...)
-	return dst
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
+	return append(append(dst, key...), val...)
 }
 
 // encodeInternalCell appends an internal cell for (key, child) to dst.
 func encodeInternalCell(dst []byte, key []byte, child pager.PageID) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	dst = append(dst, tmp[:n]...)
-	dst = append(dst, key...)
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], uint32(child))
-	dst = append(dst, cb[:]...)
-	return dst
+	dst = append(binary.AppendUvarint(dst, uint64(len(key))), key...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(child))
 }
 
 // maxCellSize is the largest cell that fits in an otherwise empty page.

@@ -55,9 +55,6 @@ func (s *Schema) Concat(other *Schema) *Schema {
 	return NewSchema(append(append([]string(nil), s.Aliases...), other.Aliases...)...)
 }
 
-// Project returns a schema keeping only the named aliases, in their order.
-func (s *Schema) Project(keep []string) *Schema { return NewSchema(keep...) }
-
 // Binding is the runtime value of a relfor variable: the in/out pair of
 // the bound node (the paper's improved vartuple entries).
 type Binding struct {

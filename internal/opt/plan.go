@@ -31,9 +31,6 @@ func New(st *store.Store, cfg Config) *Planner {
 	return &Planner{st: st, cfg: cfg, est: NewEstimator(st, cfg.Stats)}
 }
 
-// Estimator exposes the planner's estimator (for tests and EXPLAIN).
-func (p *Planner) Estimator() *Estimator { return p.est }
-
 // spoolBudget is the operator memory budget the cost model prices
 // buffering against (SpoolBudget, defaulting to the executor's default).
 func (p *Planner) spoolBudget() float64 {

@@ -751,9 +751,6 @@ func (p *Pager) BeginUpdate() error {
 	return nil
 }
 
-// InUpdate reports whether an update unit is open.
-func (p *Pager) InUpdate() bool { return p.updActive.Load() }
-
 // CommitUpdate makes the open unit durable: every page it dirtied is
 // stamped with a fresh LSN and appended to the WAL as a redo image, the
 // (possibly dirty) meta page follows, then a commit record carrying seq,

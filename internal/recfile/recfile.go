@@ -78,9 +78,6 @@ func (w *Writer) Count() int64 { return w.count }
 // Bytes returns the encoded size written so far.
 func (w *Writer) Bytes() int64 { return w.bytes }
 
-// Path returns the file path.
-func (w *Writer) Path() string { return w.path }
-
 // Offset returns the byte offset the next record will start at — the
 // encoded size written so far. Segment readers use it to address records
 // written earlier in a still-open file (after Flush).
@@ -118,52 +115,118 @@ func (w *Writer) Abort() {
 	os.Remove(w.path)
 }
 
-// Reader reads a record file sequentially through a block buffer.
-type Reader struct {
+// CorruptError reports a record file whose framing is broken: a length
+// prefix that is malformed or longer than the bytes left in the file, or a
+// record cut short.
+type CorruptError struct {
+	Path   string
+	Offset int64 // offset of the frame's length prefix
+	Msg    string
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("recfile: corrupt record at offset %d of %s: %s", e.Offset, e.Path, e.Msg)
+}
+
+// frames reads length-prefixed records from an open file through a block
+// buffer. off and size bound every length prefix by the bytes the file
+// holds, so a corrupt prefix never sizes a buffer beyond the file.
+type frames struct {
 	f    *os.File
 	r    *bufio.Reader
 	path string
 	buf  []byte
+	off  int64 // file offset of the next unread byte
+	size int64 // file size when the position was last set
 }
+
+func openFrames(path string) (frames, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return frames{}, fmt.Errorf("recfile: %w", err)
+	}
+	fr := frames{f: f, r: bufio.NewReaderSize(f, BlockSize), path: path}
+	if err := fr.seek(0); err != nil {
+		f.Close()
+		return frames{}, err
+	}
+	return fr, nil
+}
+
+// seek positions the reader at off and takes the file's current size.
+func (fr *frames) seek(off int64) error {
+	st, err := fr.f.Stat()
+	if err != nil {
+		return fmt.Errorf("recfile: %w", err)
+	}
+	if _, err := fr.f.Seek(off, io.SeekStart); err != nil {
+		return fmt.Errorf("recfile: %w", err)
+	}
+	fr.r.Reset(fr.f)
+	fr.off, fr.size = off, st.Size()
+	return nil
+}
+
+// next returns the next record, or io.EOF at a frame boundary at the end
+// of the file. The slice is valid only until the next call.
+func (fr *frames) next() ([]byte, error) {
+	start := fr.off
+	var size uint64
+	for shift := uint(0); ; shift += 7 {
+		b, err := fr.r.ReadByte()
+		if err == io.EOF && shift == 0 {
+			return nil, io.EOF
+		}
+		if err == io.EOF {
+			return nil, &CorruptError{fr.path, start, "truncated record length"}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("recfile: %w", err)
+		}
+		fr.off++
+		if shift == 63 && b > 1 {
+			return nil, &CorruptError{fr.path, start, "record length overflows 64 bits"}
+		}
+		size |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+	}
+	if left := fr.size - fr.off; size > uint64(max(left, 0)) {
+		return nil, &CorruptError{fr.path, start, fmt.Sprintf("record of %d bytes, %d left in the file", size, left)}
+	}
+	if uint64(cap(fr.buf)) < size {
+		fr.buf = make([]byte, size)
+	}
+	fr.buf = fr.buf[:size]
+	if _, err := io.ReadFull(fr.r, fr.buf); err == io.ErrUnexpectedEOF || err == io.EOF {
+		return nil, &CorruptError{fr.path, start, "truncated record"}
+	} else if err != nil {
+		return nil, fmt.Errorf("recfile: %w", err)
+	}
+	fr.off += int64(size)
+	return fr.buf, nil
+}
+
+// Reader reads a record file sequentially through a block buffer.
+type Reader struct{ frames }
 
 // OpenReader opens a record file for sequential reading.
 func OpenReader(path string) (*Reader, error) {
-	f, err := os.Open(path)
+	fr, err := openFrames(path)
 	if err != nil {
-		return nil, fmt.Errorf("recfile: %w", err)
+		return nil, err
 	}
-	return &Reader{f: f, r: bufio.NewReaderSize(f, BlockSize), path: path}, nil
+	return &Reader{fr}, nil
 }
 
 // Next returns the next record, or io.EOF. The returned slice is valid
-// only until the next call to Next.
-func (r *Reader) Next() ([]byte, error) {
-	size, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("recfile: corrupt record length: %w", err)
-	}
-	if uint64(cap(r.buf)) < size {
-		r.buf = make([]byte, size)
-	}
-	r.buf = r.buf[:size]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, fmt.Errorf("recfile: truncated record: %w", err)
-	}
-	return r.buf, nil
-}
+// only until the next call to Next. A broken frame is a *CorruptError.
+func (r *Reader) Next() ([]byte, error) { return r.next() }
 
 // Reset rewinds the reader to the beginning of the file, so the stream can
 // be scanned again (used by the nested-loops join inner input).
-func (r *Reader) Reset() error {
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r.r.Reset(r.f)
-	return nil
-}
+func (r *Reader) Reset() error { return r.seek(0) }
 
 // Close closes the underlying file (the file itself is kept).
 func (r *Reader) Close() error { return r.f.Close() }
@@ -181,50 +244,24 @@ func (r *Reader) Remove() error {
 // through its own descriptor, so segments of a file still open for
 // appending can be replayed (after the writer Flushes). Seek positions the
 // reader; Next then streams records sequentially from there.
-type SegReader struct {
-	f   *os.File
-	r   *bufio.Reader
-	buf []byte
-}
+type SegReader struct{ frames }
 
 // OpenSegReader opens path for offset-addressed record reads.
 func OpenSegReader(path string) (*SegReader, error) {
-	f, err := os.Open(path)
+	fr, err := openFrames(path)
 	if err != nil {
-		return nil, fmt.Errorf("recfile: %w", err)
+		return nil, err
 	}
-	return &SegReader{f: f, r: bufio.NewReaderSize(f, BlockSize)}, nil
+	return &SegReader{fr}, nil
 }
 
 // SeekTo positions the reader at the given byte offset (which must be a
 // record boundary previously obtained from Writer.Offset).
-func (r *SegReader) SeekTo(off int64) error {
-	if _, err := r.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	r.r.Reset(r.f)
-	return nil
-}
+func (r *SegReader) SeekTo(off int64) error { return r.seek(off) }
 
 // Next returns the next record, or io.EOF. The returned slice is valid
 // only until the next call to Next or SeekTo.
-func (r *SegReader) Next() ([]byte, error) {
-	size, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("recfile: corrupt record length: %w", err)
-	}
-	if uint64(cap(r.buf)) < size {
-		r.buf = make([]byte, size)
-	}
-	r.buf = r.buf[:size]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, fmt.Errorf("recfile: truncated record: %w", err)
-	}
-	return r.buf, nil
-}
+func (r *SegReader) Next() ([]byte, error) { return r.next() }
 
 // Close closes the underlying file (the file itself is kept).
 func (r *SegReader) Close() error { return r.f.Close() }

@@ -202,31 +202,76 @@ func TestSortEmpty(t *testing.T) {
 
 func TestSortStable(t *testing.T) {
 	// Records with equal keys must retain insertion order (stability
-	// matters for hierarchical document order with duplicate prefixes).
+	// matters for hierarchical document order with duplicate prefixes),
+	// in memory and through one or several merge passes, where every key
+	// recurs in every run.
 	var recs [][]byte
-	for i := 0; i < 1000; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("key-%03d|%06d", i%7, i)))
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, []byte(fmt.Sprintf("key-%03d|%06d", i%13, i)))
 	}
 	cmp := func(a, b []byte) int { return bytes.Compare(a[:7], b[:7]) }
-	s := NewSorter(t.TempDir(), cmp, 4<<10)
-	for _, r := range recs {
-		s.Add(r)
+	for _, tc := range []struct {
+		name          string
+		budget, fanin int
+		path          func(SortStats) bool
+	}{
+		{"in-memory", 1 << 20, DefaultFanin, func(st SortStats) bool { return st.InMemory }},
+		{"single-merge", 16 << 10, DefaultFanin, func(st SortStats) bool { return st.Runs > 1 && st.MergePasses == 0 }},
+		{"multi-pass", 2 << 10, 4, func(st SortStats) bool { return st.MergePasses >= 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSorter(t.TempDir(), cmp, tc.budget)
+			s.fanin = tc.fanin
+			for _, r := range recs {
+				if err := s.Add(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := s.Sort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			if !tc.path(s.Stats()) {
+				t.Fatalf("sort took the wrong path: %+v", s.Stats())
+			}
+			var last []byte
+			n := 0
+			for ; ; n++ {
+				rec, err := it.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last != nil && bytes.Compare(last, rec) >= 0 {
+					t.Fatalf("record %d: %s after %s: out of order or unstable", n, rec, last)
+				}
+				last = append(last[:0], rec...)
+			}
+			if n != len(recs) {
+				t.Fatalf("sorted %d records, want %d", n, len(recs))
+			}
+		})
 	}
-	it, err := s.Sort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	lastSeq := map[string]string{}
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
+}
+
+// Add copies records into the run's arena, so it allocates per arena
+// growth, not per record.
+func TestSorterAddAllocs(t *testing.T) {
+	const n = 10000
+	rec := []byte("a record of some thirty bytes.")
+	dir := t.TempDir()
+	allocs := testing.AllocsPerRun(5, func() {
+		s := NewSorter(dir, bytes.Compare, 1<<30)
+		for i := 0; i < n; i++ {
+			if err := s.Add(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
-		key, seq := string(rec[:7]), string(rec[8:])
-		if prev, ok := lastSeq[key]; ok && prev >= seq {
-			t.Fatalf("instability for %s: %s then %s", key, prev, seq)
-		}
-		lastSeq[key] = seq
+	})
+	if per := allocs / n; per >= 0.05 {
+		t.Fatalf("Add made %.3f allocations per record, want under 0.05", per)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"io"
 	"os"
-	"sort"
 
 	"xqdb/internal/limit"
 )
@@ -15,6 +14,9 @@ const DefaultSortBudget = 4 << 20
 
 // DefaultFanin is the merge fan-in used when Sorter.Fanin is zero.
 const DefaultFanin = 16
+
+// maxBudget caps a run's budget, so arena offsets fit a uint32.
+const maxBudget = 1 << 30
 
 // SortStats reports what the external sort did.
 type SortStats struct {
@@ -41,7 +43,12 @@ type Sorter struct {
 	gov    *limit.Budget
 	hook   func(op string) error
 
-	cur      [][]byte
+	// The current run: its records' bytes, back to back in arrival
+	// order, and one span per record, which the run sort orders. Both
+	// are reused by the next run once a run has spilled.
+	arena    []byte
+	cur      []span
+	aux      []span // merge sort scratch, half as long as cur
 	curBytes int
 	reserved int
 	runs     []string
@@ -54,6 +61,7 @@ func NewSorter(dir string, cmp func(a, b []byte) int, budget int) *Sorter {
 	if budget <= 0 {
 		budget = DefaultSortBudget
 	}
+	budget = min(budget, maxBudget)
 	return &Sorter{dir: dir, cmp: cmp, budget: budget, fanin: DefaultFanin}
 }
 
@@ -64,11 +72,16 @@ func (s *Sorter) SetGovernor(gov *limit.Budget) { s.gov = gov }
 // SetHook installs a fault-injection hook consulted on run-file writes.
 func (s *Sorter) SetHook(h func(op string) error) { s.hook = h }
 
+// span locates one record of the current run in the arena.
+type span struct{ off, n uint32 }
+
+func (s *Sorter) rec(p span) []byte { return s.arena[p.off : p.off+p.n : p.off+p.n] }
+
 // Add appends one record (the slice is copied).
 func (s *Sorter) Add(rec []byte) error {
-	cp := append([]byte(nil), rec...)
-	need := len(cp) + 24
-	s.cur = append(s.cur, cp)
+	need := len(rec) + memRecOverhead
+	s.cur = append(s.cur, span{uint32(len(s.arena)), uint32(len(rec))})
+	s.arena = append(s.arena, rec...)
 	s.curBytes += need
 	s.stats.Records++
 	if s.curBytes >= s.budget || !s.gov.Reserve(need) {
@@ -79,8 +92,46 @@ func (s *Sorter) Add(rec []byte) error {
 }
 
 func (s *Sorter) sortCur() {
-	sort.SliceStable(s.cur, func(i, j int) bool { return s.cmp(s.cur[i], s.cur[j]) < 0 })
+	if cap(s.aux) < len(s.cur)/2 {
+		s.aux = make([]span, cap(s.cur)/2)
+	}
+	s.mergeSort(s.cur, s.aux[:len(s.cur)/2])
 }
+
+// mergeSort sorts recs by cmp, equal records in arrival order: a top-down
+// merge sort that moves the left half into aux (len(recs)/2 long) before
+// each merge, and skips a merge whose halves are already in order.
+func (s *Sorter) mergeSort(recs, aux []span) {
+	if len(recs) <= 12 {
+		for i := 1; i < len(recs); i++ {
+			for j := i; j > 0 && s.less(recs[j], recs[j-1]); j-- {
+				recs[j], recs[j-1] = recs[j-1], recs[j]
+			}
+		}
+		return
+	}
+	mid := len(recs) / 2
+	s.mergeSort(recs[:mid], aux)
+	s.mergeSort(recs[mid:], aux)
+	if !s.less(recs[mid], recs[mid-1]) {
+		return
+	}
+	left := aux[:copy(aux, recs[:mid])]
+	i, j, k := 0, mid, 0
+	for i < len(left) && j < len(recs) {
+		if s.less(recs[j], left[i]) {
+			recs[k] = recs[j]
+			j++
+		} else {
+			recs[k] = left[i]
+			i++
+		}
+		k++
+	}
+	copy(recs[k:], left[i:])
+}
+
+func (s *Sorter) less(a, b span) bool { return s.cmp(s.rec(a), s.rec(b)) < 0 }
 
 // Abort discards accumulated state, removes every run file, and releases
 // governor reservations. For callers that stop sorting early (deadline,
@@ -92,7 +143,7 @@ func (s *Sorter) cleanup() {
 		os.Remove(p)
 	}
 	s.runs = nil
-	s.cur = nil
+	s.arena, s.cur, s.aux = nil, nil, nil
 	s.curBytes = 0
 	s.gov.Release(s.reserved)
 	s.reserved = 0
@@ -110,8 +161,8 @@ func (s *Sorter) spill() error {
 		return err
 	}
 	w.Hook = s.hook
-	for _, rec := range s.cur {
-		if err := w.Append(rec); err != nil {
+	for _, p := range s.cur {
+		if err := w.Append(s.rec(p)); err != nil {
 			w.Abort()
 			s.cleanup()
 			return err
@@ -125,7 +176,7 @@ func (s *Sorter) spill() error {
 	s.stats.Spilled += w.Bytes()
 	s.stats.Runs++
 	s.runs = append(s.runs, path)
-	s.cur = nil
+	s.arena, s.cur = s.arena[:0], s.cur[:0]
 	s.curBytes = 0
 	s.gov.Release(s.reserved)
 	s.reserved = 0
@@ -137,15 +188,14 @@ func (s *Sorter) Stats() SortStats { return s.stats }
 
 // Iterator yields sorted records. Close releases and deletes any run files.
 type Iterator struct {
-	// in-memory case
-	mem [][]byte
+	// in-memory case: the sorter's own run, whose governor reservations
+	// the iterator returns when it closes
+	mem *Sorter
 	idx int
 	// merge case
 	h       *mergeHeap
+	spare   []byte // the record Next returned last, free on the next call
 	readers []*Reader
-	// release returns governor reservations still held by the in-memory
-	// case when the iterator closes.
-	release func()
 }
 
 // Sort finishes accumulation and returns an iterator over all records in
@@ -155,11 +205,7 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	if len(s.runs) == 0 {
 		s.sortCur()
 		s.stats.InMemory = true
-		it := &Iterator{mem: s.cur, release: func() {
-			s.gov.Release(s.reserved)
-			s.reserved = 0
-		}}
-		return it, nil
+		return &Iterator{mem: s}, nil
 	}
 	if err := s.spill(); err != nil {
 		return nil, err
@@ -247,7 +293,7 @@ func (s *Sorter) openMerge(runs []string) (*Iterator, error) {
 			it.Close()
 			return nil, err
 		}
-		h.items = append(h.items, mergeItem{rec: append([]byte(nil), rec...), src: r, run: runIdx})
+		h.items = append(h.items, mergeItem{rec: rec, src: r, run: runIdx})
 	}
 	heap.Init(h)
 	return it, nil
@@ -256,30 +302,32 @@ func (s *Sorter) openMerge(runs []string) (*Iterator, error) {
 // Next returns the next record in sorted order, or io.EOF. The slice is
 // valid until the following Next call.
 func (it *Iterator) Next() ([]byte, error) {
-	if it.h == nil {
-		if it.idx >= len(it.mem) {
+	if s := it.mem; s != nil {
+		if it.idx >= len(s.cur) {
 			return nil, io.EOF
 		}
-		rec := it.mem[it.idx]
 		it.idx++
-		return rec, nil
+		return s.rec(s.cur[it.idx-1]), nil
 	}
 	if it.h.Len() == 0 {
 		return nil, io.EOF
 	}
-	top := it.h.items[0]
+	// The head record goes out as it is; its source refills into the
+	// buffer of the record returned last, which the caller has given up.
+	top := &it.h.items[0]
 	out := top.rec
-	// Refill from the same source.
+	top.src.buf = it.spare
 	rec, err := top.src.Next()
-	if err == io.EOF {
+	switch {
+	case err == io.EOF:
 		heap.Pop(it.h)
-		return out, nil
-	}
-	if err != nil {
+	case err != nil:
 		return nil, err
+	default:
+		top.rec = rec
+		heap.Fix(it.h, 0)
 	}
-	it.h.items[0] = mergeItem{rec: append([]byte(nil), rec...), src: top.src, run: top.run}
-	heap.Fix(it.h, 0)
+	it.spare = out
 	return out, nil
 }
 
@@ -297,16 +345,16 @@ func (it *Iterator) Close() error {
 	}
 	it.readers = nil
 	it.h = nil
-	it.mem = nil
-	if it.release != nil {
-		it.release()
-		it.release = nil
+	if s := it.mem; s != nil {
+		s.gov.Release(s.reserved)
+		s.reserved = 0
+		it.mem = nil
 	}
 	return err
 }
 
 type mergeItem struct {
-	rec []byte
+	rec []byte // head record, in src's buffer
 	src *Reader
 	run int // run index; ties break toward earlier runs to keep Sort stable
 }

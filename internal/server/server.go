@@ -183,12 +183,6 @@ func (s *Server) handleLoadDoc(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	epoch, err := s.cfg.Catalog.Load(name, body)
 	if err != nil {
-		// The tokenizer reports a body cut off at MaxBodyBytes inside
-		// markup as a syntax error; the reader keeps the real cause.
-		var me *http.MaxBytesError
-		if _, rerr := body.Read(nil); errors.As(rerr, &me) {
-			err = rerr
-		}
 		fail(w, loadError(err))
 		return
 	}

@@ -395,12 +395,3 @@ func (s *Store) OpenChildren(parentIn uint32) (*ChildCursor, error) {
 // Close returns the cursor and its buffers to the store's pool. The
 // cursor must not be used afterwards.
 func (cc *ChildCursor) Close() { cc.release(cc) }
-
-// CardLabel returns the statistics cardinality for an element label.
-func (s *Store) CardLabel(label string) int64 {
-	st := s.stats.Load()
-	if st == nil {
-		return 0
-	}
-	return st.Card(label)
-}

@@ -150,8 +150,7 @@ func (w *SubtreeWriter) Append(dst []byte, in uint32) ([]byte, error) {
 	}
 	w.dst, w.in, w.found, w.pend, w.err = dst, in, false, false, nil
 	w.stack, w.arena = w.stack[:0], w.arena[:0]
-	xasr.PrimaryKeyInto(w.key[:], in)
-	err := w.walk.Visit(w.key[:], w.cell)
+	err := w.walk.Visit(xasr.AppendPrimaryKey(w.key[:0], in), w.cell)
 	if err == nil {
 		err = w.err
 	}

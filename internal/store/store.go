@@ -3,11 +3,19 @@
 // two secondary indexes (label and parent), and the persisted document
 // statistics of milestone 4.
 //
-// Loading a document streams it through the XASR shredder into an external
-// sort keyed on "in" (element tuples complete in postorder, so a sort is
-// required for clustering) and bulk-loads all three trees. After loading,
-// a Store is read-only and safe for concurrent readers; the paper's
-// project explicitly excludes concurrent updates, logging and recovery.
+// Loading a document streams it through the XASR shredder, which emits
+// each tuple as one record per tree into three external sorts (element
+// tuples complete in postorder, so a sort is required for clustering on
+// "in"). Each sort keeps a run's records in one arena, merge-sorts them
+// stably, spills sorted runs once the sort budget is spent, and k-way
+// merges the runs straight into a bulk load of its tree; a load then
+// persists the statistics and syncs the page file. A load replaces the
+// document and starts an empty write-ahead log.
+//
+// After a load, readers run concurrently, and subtree updates (Tx) apply
+// one unit at a time under the write side of a reader/writer lock. A unit
+// is logged to the WAL before any of its pages reach the page file, and
+// opening a store replays committed units a crash left unapplied.
 //
 // The choice of "in" as the clustered attribute is the one the paper calls
 // "the natural choice" for the primary index; the label index additionally
@@ -18,6 +26,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -132,6 +141,8 @@ type Store struct {
 	// statsSeq is the AppliedSeq stamp of the stats.bin on disk; Close
 	// rewrites the file only when units committed since.
 	statsSeq uint64
+	// loadSorts records what the last Load's sorts did, primary first.
+	loadSorts []recfile.SortStats
 
 	// rw excludes updates from readers: queries and serialization hold
 	// the read side for their whole run (see ReadLock), an update unit
@@ -353,30 +364,6 @@ func (s *Store) PrimaryHeight() int {
 	return h
 }
 
-// LabelIndexHeight returns the height of the label index, or 0.
-func (s *Store) LabelIndexHeight() int {
-	if s.labelIdx == nil {
-		return 0
-	}
-	h, err := s.labelIdx.Height()
-	if err != nil {
-		return 1
-	}
-	return h
-}
-
-// ParentIndexHeight returns the height of the parent index, or 0.
-func (s *Store) ParentIndexHeight() int {
-	if s.parentIdx == nil {
-		return 0
-	}
-	h, err := s.parentIdx.Height()
-	if err != nil {
-		return 1
-	}
-	return h
-}
-
 // Load shreds the XML document read from r into the store, replacing any
 // previous content. The tuple stream is spilled through an external sort
 // keyed on "in" and bulk-loaded into the primary tree; the secondary
@@ -415,34 +402,38 @@ func (s *Store) Load(r io.Reader) error {
 		return err
 	}
 
-	cmpKV := func(a, b []byte) int { return compareKVKeys(a, b) }
-	primSort := recfile.NewSorter(tmp, cmpKV, s.opts.SortBudget)
+	primSort := recfile.NewSorter(tmp, compareKVKeys, s.opts.SortBudget)
 	var labelSort, parentSort *recfile.Sorter
 	if !s.opts.NoLabelIndex {
-		labelSort = recfile.NewSorter(tmp, cmpKV, s.opts.SortBudget)
+		labelSort = recfile.NewSorter(tmp, compareKVKeys, s.opts.SortBudget)
 	}
 	if !s.opts.NoParentIndex {
-		parentSort = recfile.NewSorter(tmp, cmpKV, s.opts.SortBudget)
+		parentSort = recfile.NewSorter(tmp, compareKVKeys, s.opts.SortBudget)
 	}
 
+	// Each spill record is uvarint(len(key)), key, value, encoded in place
+	// into one reused buffer.
 	var rec []byte
 	limit := s.valueLimit(labelSort != nil, parentSort != nil)
 	stats, texts, err := xasr.ShredStride(xmltok.New(r), s.opts.labelStride(), func(t xasr.Tuple) error {
 		if err := checkValue(t.Type, t.Value, limit); err != nil {
 			return err
 		}
-		rec = encodeKV(rec[:0], xasr.PrimaryKey(t.In), xasr.EncodePrimaryValue(t))
+		rec = binary.AppendUvarint(rec[:0], xasr.PrimaryKeyLen)
+		rec = xasr.AppendPrimaryValue(xasr.AppendPrimaryKey(rec, t.In), t)
 		if err := primSort.Add(rec); err != nil {
 			return err
 		}
 		if labelSort != nil && t.Type != xasr.TypeRoot {
-			rec = encodeKV(rec[:0], xasr.LabelKey(t.Type, t.Value, t.In), xasr.EncodeLabelValue(t.Out, t.ParentIn))
+			rec = binary.AppendUvarint(rec[:0], uint64(xasr.LabelKeyLen(len(t.Value))))
+			rec = xasr.AppendLabelValue(xasr.AppendLabelKey(rec, t.Type, t.Value, t.In), t.Out, t.ParentIn)
 			if err := labelSort.Add(rec); err != nil {
 				return err
 			}
 		}
 		if parentSort != nil && t.Type != xasr.TypeRoot {
-			rec = encodeKV(rec[:0], xasr.ParentKey(t.ParentIn, t.In), xasr.EncodeParentValue(t.Out, t.Type, t.Value))
+			rec = binary.AppendUvarint(rec[:0], xasr.ParentKeyLen)
+			rec = xasr.AppendParentValue(xasr.AppendParentKey(rec, t.ParentIn, t.In), t.Out, t.Type, t.Value)
 			if err := parentSort.Add(rec); err != nil {
 				return err
 			}
@@ -453,16 +444,17 @@ func (s *Store) Load(r io.Reader) error {
 		return err
 	}
 
-	if s.primary, err = bulkLoadFromSorter(s.pg, primSort); err != nil {
+	s.loadSorts = s.loadSorts[:0]
+	if s.primary, err = s.bulkLoadFromSorter(primSort); err != nil {
 		return err
 	}
 	if labelSort != nil {
-		if s.labelIdx, err = bulkLoadFromSorter(s.pg, labelSort); err != nil {
+		if s.labelIdx, err = s.bulkLoadFromSorter(labelSort); err != nil {
 			return err
 		}
 	}
 	if parentSort != nil {
-		if s.parentIdx, err = bulkLoadFromSorter(s.pg, parentSort); err != nil {
+		if s.parentIdx, err = s.bulkLoadFromSorter(parentSort); err != nil {
 			return err
 		}
 	}
@@ -500,11 +492,9 @@ var ErrValueTooLarge = errors.New("store: value too large for a page")
 func (s *Store) valueLimit(labelIdx, parentIdx bool) int {
 	page := s.pg.UsableSize()
 	fits := func(n int) bool {
-		var tmp [binary.MaxVarintLen64]byte
-		labelKey := 1 + binary.PutUvarint(tmp[:], uint64(n)) + n + 4
-		return btree.CellFits(page, 4, 9+n) &&
-			(!labelIdx || btree.CellFits(page, labelKey, 8)) &&
-			(!parentIdx || btree.CellFits(page, 8, 5+n))
+		return btree.CellFits(page, xasr.PrimaryKeyLen, 9+n) &&
+			(!labelIdx || btree.CellFits(page, xasr.LabelKeyLen(n), 8)) &&
+			(!parentIdx || btree.CellFits(page, xasr.ParentKeyLen, 5+n))
 	}
 	n := page
 	for n > 0 && !fits(n) {
@@ -526,13 +516,14 @@ func checkValue(typ xasr.NodeType, value string, limit int) error {
 	return fmt.Errorf("%w: %s of %d bytes, limit %d", ErrValueTooLarge, kind, len(value), limit)
 }
 
-func bulkLoadFromSorter(pg *pager.Pager, sorter *recfile.Sorter) (*btree.Tree, error) {
+func (s *Store) bulkLoadFromSorter(sorter *recfile.Sorter) (*btree.Tree, error) {
 	it, err := sorter.Sort()
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	tree, err := btree.BulkLoad(pg, func() (k, v []byte, ok bool, err error) {
+	s.loadSorts = append(s.loadSorts, sorter.Stats())
+	tree, err := btree.BulkLoad(s.pg, func() (k, v []byte, ok bool, err error) {
 		rec, err := it.Next()
 		if err == io.EOF {
 			return nil, nil, false, nil
@@ -736,16 +727,12 @@ func (s *Store) loadStats() (stamp uint64, err error) {
 	return sf.AppliedSeq, nil
 }
 
-// encodeKV packs a key/value pair into one spill record.
-func encodeKV(dst, key, val []byte) []byte {
-	var tmp [binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	dst = append(dst, tmp[:n]...)
-	dst = append(dst, key...)
-	return append(dst, val...)
-}
-
+// decodeKV splits a spill record into its key and value.
 func decodeKV(rec []byte) (key, val []byte, err error) {
+	// A key shorter than 128 bytes has a one-byte length.
+	if len(rec) > 0 && rec[0] < 0x80 && int(rec[0]) < len(rec) {
+		return rec[1 : 1+rec[0]], rec[1+rec[0]:], nil
+	}
 	klen, n := binary.Uvarint(rec)
 	if n <= 0 || uint64(len(rec)-n) < klen {
 		return nil, nil, fmt.Errorf("store: corrupt spill record")
@@ -753,8 +740,21 @@ func decodeKV(rec []byte) (key, val []byte, err error) {
 	return rec[n : n+int(klen)], rec[n+int(klen):], nil
 }
 
-// compareKVKeys orders spill records by their embedded key bytes.
+// compareKVKeys orders spill records by their embedded key bytes. A key
+// shorter than 128 bytes has a one-byte length, and keys of 4 or 8 bytes
+// (the primary's, the parent index's) compare as big-endian integers.
 func compareKVKeys(a, b []byte) int {
+	if len(a) > 0 && len(b) > 0 {
+		if la, lb := int(a[0]), int(b[0]); la < 0x80 && lb < 0x80 && la < len(a) && lb < len(b) {
+			switch {
+			case la == 4 && lb == 4:
+				return cmp.Compare(binary.BigEndian.Uint32(a[1:]), binary.BigEndian.Uint32(b[1:]))
+			case la == 8 && lb == 8:
+				return cmp.Compare(binary.BigEndian.Uint64(a[1:]), binary.BigEndian.Uint64(b[1:]))
+			}
+			return bytes.Compare(a[1:1+la], b[1:1+lb])
+		}
+	}
 	ka, _, _ := decodeKV(a)
 	kb, _, _ := decodeKV(b)
 	return bytes.Compare(ka, kb)

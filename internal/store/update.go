@@ -89,12 +89,6 @@ func (s *Store) Begin() (*Tx, error) {
 	}, nil
 }
 
-// Seq returns the sequence number this unit will commit as.
-func (tx *Tx) Seq() uint64 { return tx.seq }
-
-// Mutated reports whether any operation changed the document.
-func (tx *Tx) Mutated() bool { return tx.mutated }
-
 // Translate maps a node label captured before this Tx's operations to the
 // node's current label (relabeling may have moved it, possibly more than
 // once). Labels of nodes this Tx deleted translate to 0 — never a live

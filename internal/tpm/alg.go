@@ -180,12 +180,6 @@ func (c Cmp) Rels() []string {
 	return rels
 }
 
-// HasVar reports whether the condition references an external variable.
-func (c Cmp) HasVar() bool {
-	return c.Left.Kind == OpVarIn || c.Left.Kind == OpVarOut ||
-		c.Right.Kind == OpVarIn || c.Right.Kind == OpVarOut
-}
-
 // VarBinding records that a relfor variable is bound to the (in, out) of
 // one relation instance of the PSX expression.
 type VarBinding struct {
@@ -225,20 +219,6 @@ func (p *PSX) BindingRel(v string) string {
 		}
 	}
 	return ""
-}
-
-// RelConds partitions the conditions for one relation alias: conds that
-// touch only that relation (and constants/variables) versus the rest.
-func (p *PSX) RelConds(rel string) (local, other []Cmp) {
-	for _, c := range p.Conds {
-		rs := c.Rels()
-		if len(rs) == 1 && rs[0] == rel {
-			local = append(local, c)
-		} else {
-			other = append(other, c)
-		}
-	}
-	return local, other
 }
 
 // ExternalVars returns the external variables referenced by conditions.

@@ -78,29 +78,28 @@ func (t Tuple) IsChildOf(p Tuple) bool { return t.ParentIn == p.In }
 
 // --- primary tree codec: key = be32(in), value = out,parent,type,value ---
 
+// Key lengths of the primary tree and the parent index.
+const (
+	PrimaryKeyLen = 4
+	ParentKeyLen  = 8
+)
+
 // PrimaryKey encodes the clustered primary key for an in label.
-func PrimaryKey(in uint32) []byte {
-	var k [4]byte
-	binary.BigEndian.PutUint32(k[:], in)
-	return k[:]
-}
+func PrimaryKey(in uint32) []byte { return AppendPrimaryKey(make([]byte, 0, PrimaryKeyLen), in) }
 
-// PrimaryKeyInto writes the primary key into dst[:4].
-func PrimaryKeyInto(dst []byte, in uint32) {
-	binary.BigEndian.PutUint32(dst, in)
-}
-
-// InFromPrimaryKey decodes an in label from a primary key.
-func InFromPrimaryKey(key []byte) uint32 { return binary.BigEndian.Uint32(key) }
+// AppendPrimaryKey appends the primary key for in to dst.
+func AppendPrimaryKey(dst []byte, in uint32) []byte { return binary.BigEndian.AppendUint32(dst, in) }
 
 // EncodePrimaryValue encodes the non-key columns of a tuple.
 func EncodePrimaryValue(t Tuple) []byte {
-	v := make([]byte, 9+len(t.Value))
-	binary.BigEndian.PutUint32(v[0:], t.Out)
-	binary.BigEndian.PutUint32(v[4:], t.ParentIn)
-	v[8] = byte(t.Type)
-	copy(v[9:], t.Value)
-	return v
+	return AppendPrimaryValue(make([]byte, 0, 9+len(t.Value)), t)
+}
+
+// AppendPrimaryValue appends the non-key columns of a tuple to dst.
+func AppendPrimaryValue(dst []byte, t Tuple) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, t.Out)
+	dst = binary.BigEndian.AppendUint32(dst, t.ParentIn)
+	return append(append(dst, byte(t.Type)), t.Value...)
 }
 
 // DecodePrimary reconstructs a tuple from a primary key/value pair.
@@ -135,29 +134,39 @@ func DecodePrimaryRaw(key, val []byte) (Tuple, []byte, error) {
 
 // LabelPrefix returns the key prefix selecting all entries for (typ, value).
 func LabelPrefix(typ NodeType, value string) []byte {
-	k := make([]byte, 0, 1+binary.MaxVarintLen32+len(value))
-	k = append(k, byte(typ))
-	var tmp [binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(value)))
-	k = append(k, tmp[:n]...)
-	k = append(k, value...)
-	return k
+	return appendLabelPrefix(make([]byte, 0, LabelKeyLen(len(value))), typ, value)
+}
+
+func appendLabelPrefix(dst []byte, typ NodeType, value string) []byte {
+	dst = binary.AppendUvarint(append(dst, byte(typ)), uint64(len(value)))
+	return append(dst, value...)
+}
+
+// LabelKeyLen returns the length of a label-index key whose value is n
+// bytes long.
+func LabelKeyLen(n int) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return 1 + binary.PutUvarint(tmp[:], uint64(n)) + n + 4
 }
 
 // LabelKey returns the full label-index key for a tuple.
 func LabelKey(typ NodeType, value string, in uint32) []byte {
-	k := LabelPrefix(typ, value)
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], in)
-	return append(k, ib[:]...)
+	return AppendLabelKey(make([]byte, 0, LabelKeyLen(len(value))), typ, value, in)
+}
+
+// AppendLabelKey appends the full label-index key for a tuple to dst.
+func AppendLabelKey(dst []byte, typ NodeType, value string, in uint32) []byte {
+	return binary.BigEndian.AppendUint32(appendLabelPrefix(dst, typ, value), in)
 }
 
 // EncodeLabelValue encodes the label-index payload.
 func EncodeLabelValue(out, parentIn uint32) []byte {
-	v := make([]byte, 8)
-	binary.BigEndian.PutUint32(v[0:], out)
-	binary.BigEndian.PutUint32(v[4:], parentIn)
-	return v
+	return AppendLabelValue(make([]byte, 0, 8), out, parentIn)
+}
+
+// AppendLabelValue appends the label-index payload to dst.
+func AppendLabelValue(dst []byte, out, parentIn uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(dst, out), parentIn)
 }
 
 // DecodeLabelEntry decodes (in, out, parentIn) from a label-index entry.
@@ -186,19 +195,22 @@ func ParentPrefix(parentIn uint32) []byte {
 
 // ParentKey returns the full parent-index key.
 func ParentKey(parentIn, in uint32) []byte {
-	k := make([]byte, 8)
-	binary.BigEndian.PutUint32(k[0:], parentIn)
-	binary.BigEndian.PutUint32(k[4:], in)
-	return k
+	return AppendParentKey(make([]byte, 0, ParentKeyLen), parentIn, in)
+}
+
+// AppendParentKey appends the full parent-index key to dst.
+func AppendParentKey(dst []byte, parentIn, in uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(dst, parentIn), in)
 }
 
 // EncodeParentValue encodes the parent-index payload.
 func EncodeParentValue(out uint32, typ NodeType, value string) []byte {
-	v := make([]byte, 5+len(value))
-	binary.BigEndian.PutUint32(v[0:], out)
-	v[4] = byte(typ)
-	copy(v[5:], value)
-	return v
+	return AppendParentValue(make([]byte, 0, 5+len(value)), out, typ, value)
+}
+
+// AppendParentValue appends the parent-index payload to dst.
+func AppendParentValue(dst []byte, out uint32, typ NodeType, value string) []byte {
+	return append(append(binary.BigEndian.AppendUint32(dst, out), byte(typ)), value...)
 }
 
 // DecodeParentEntry decodes a full tuple from a parent-index entry.

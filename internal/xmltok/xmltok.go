@@ -13,6 +13,7 @@ package xmltok
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -104,6 +105,16 @@ func (t *Tokenizer) errf(format string, args ...any) error {
 	return &SyntaxError{Offset: t.offset, Msg: fmt.Sprintf(format, args...)}
 }
 
+// markupErr reports a failed read inside markup. End of input there is
+// malformed XML, as is a nil err (an unexpected byte); any other read
+// error is the reader's own and keeps its cause.
+func (t *Tokenizer) markupErr(err error, format string, args ...any) error {
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("xml read error at offset %d: %w", t.offset, err)
+	}
+	return t.errf(format, args...)
+}
+
 func (t *Tokenizer) readByte() (byte, error) {
 	b, err := t.r.ReadByte()
 	if err == nil {
@@ -142,7 +153,15 @@ func (t *Tokenizer) Next() (Token, error) {
 			return Token{}, err
 		}
 		// A CDATA section starts a text run; any other '<' starts markup.
-		if head[0] == '<' && !t.atCDATA() {
+		markup := head[0] == '<'
+		if markup {
+			cdata, err := t.atCDATA()
+			if err != nil {
+				return Token{}, err
+			}
+			markup = !cdata
+		}
+		if markup {
 			t.readByte()
 			tok, skip, err := t.readMarkup()
 			if err != nil {
@@ -181,7 +200,7 @@ func clip(s string) string {
 func (t *Tokenizer) readMarkup() (tok Token, skip bool, err error) {
 	b, err := t.readByte()
 	if err != nil {
-		return Token{}, false, t.errf("unexpected EOF after '<'")
+		return Token{}, false, t.markupErr(err, "unexpected EOF after '<'")
 	}
 	switch b {
 	case '?':
@@ -205,7 +224,7 @@ func (t *Tokenizer) skipPI() error {
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return t.errf("unterminated processing instruction")
+			return t.markupErr(err, "unterminated processing instruction")
 		}
 		if prev == '?' && b == '>' {
 			return nil
@@ -215,9 +234,12 @@ func (t *Tokenizer) skipPI() error {
 }
 
 // atCDATA reports whether the input continues with "<![CDATA[".
-func (t *Tokenizer) atCDATA() bool {
-	h, _ := t.r.Peek(len(cdataOpen))
-	return string(h) == cdataOpen
+func (t *Tokenizer) atCDATA() (bool, error) {
+	h, err := t.r.Peek(len(cdataOpen))
+	if err != nil && err != io.EOF {
+		return false, t.markupErr(err, "")
+	}
+	return string(h) == cdataOpen, nil
 }
 
 const cdataOpen = "<![CDATA["
@@ -230,12 +252,12 @@ const cdataOpen = "<![CDATA["
 func (t *Tokenizer) skipDecl() error {
 	b, err := t.readByte()
 	if err != nil {
-		return t.errf("unterminated declaration")
+		return t.markupErr(err, "unterminated declaration")
 	}
 	switch b {
 	case '-':
 		if b, err := t.readByte(); err != nil || b != '-' {
-			return t.errf("invalid sequence <!- not part of <!--")
+			return t.markupErr(err, "invalid sequence <!- not part of <!--")
 		}
 		return t.skipComment()
 	case '[':
@@ -246,7 +268,7 @@ func (t *Tokenizer) skipDecl() error {
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return t.errf("unterminated declaration")
+			return t.markupErr(err, "unterminated declaration")
 		}
 		switch {
 		case quote != 0:
@@ -261,7 +283,11 @@ func (t *Tokenizer) skipDecl() error {
 			}
 			depth--
 		case b == '<':
-			if h, err := t.r.Peek(3); err == nil && string(h) == "!--" {
+			h, err := t.r.Peek(3)
+			if err != nil && err != io.EOF {
+				return t.markupErr(err, "")
+			}
+			if string(h) == "!--" {
 				t.discard(3)
 				if err := t.skipComment(); err != nil {
 					return err
@@ -278,7 +304,7 @@ func (t *Tokenizer) skipComment() error {
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return t.errf("unterminated comment")
+			return t.markupErr(err, "unterminated comment")
 		}
 		if p1 == '-' && p2 == '-' && b == '>' {
 			return nil
@@ -295,7 +321,7 @@ func (t *Tokenizer) readCDATA() (string, error) {
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return "", t.errf("unterminated CDATA section")
+			return "", t.markupErr(err, "unterminated CDATA section")
 		}
 		if p1 == ']' && p2 == ']' && b == '>' {
 			s := t.buf.String()
@@ -332,7 +358,7 @@ func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\
 func (t *Tokenizer) readName() (string, error) {
 	b, err := t.readByte()
 	if err != nil {
-		return "", t.errf("unexpected EOF reading name")
+		return "", t.markupErr(err, "unexpected EOF reading name")
 	}
 	if !isNameStart(b) {
 		return "", t.errf("invalid name start character %q", string(b))
@@ -342,7 +368,7 @@ func (t *Tokenizer) readName() (string, error) {
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return "", t.errf("unexpected EOF in name")
+			return "", t.markupErr(err, "unexpected EOF in name")
 		}
 		if !isNameChar(b) {
 			t.unreadByte()
@@ -373,11 +399,11 @@ func (t *Tokenizer) readStartTag() (Token, error) {
 	tok := Token{Kind: StartElement, Name: name}
 	for {
 		if err := t.skipSpace(); err != nil {
-			return Token{}, t.errf("unexpected EOF in start tag <%s>", name)
+			return Token{}, t.markupErr(err, "unexpected EOF in start tag <%s>", name)
 		}
 		b, err := t.readByte()
 		if err != nil {
-			return Token{}, t.errf("unexpected EOF in start tag <%s>", name)
+			return Token{}, t.markupErr(err, "unexpected EOF in start tag <%s>", name)
 		}
 		switch {
 		case b == '>':
@@ -386,7 +412,7 @@ func (t *Tokenizer) readStartTag() (Token, error) {
 		case b == '/':
 			b2, err := t.readByte()
 			if err != nil || b2 != '>' {
-				return Token{}, t.errf("expected '>' after '/' in tag <%s>", name)
+				return Token{}, t.markupErr(err, "expected '>' after '/' in tag <%s>", name)
 			}
 			// Self-closing: synthesize the matching end tag.
 			t.pending = &Token{Kind: EndElement, Name: name}
@@ -404,29 +430,32 @@ func (t *Tokenizer) readStartTag() (Token, error) {
 
 func (t *Tokenizer) readAttr(elem string) (Attr, error) {
 	name, err := t.readName()
-	if err != nil {
+	var se *SyntaxError
+	if errors.As(err, &se) {
 		return Attr{}, t.errf("bad attribute name in <%s>: %v", elem, err)
+	} else if err != nil {
+		return Attr{}, err
 	}
 	if err := t.skipSpace(); err != nil {
-		return Attr{}, t.errf("unexpected EOF in attribute %s", name)
+		return Attr{}, t.markupErr(err, "unexpected EOF in attribute %s", name)
 	}
 	b, err := t.readByte()
 	if err != nil || b != '=' {
-		return Attr{}, t.errf("expected '=' after attribute name %s", name)
+		return Attr{}, t.markupErr(err, "expected '=' after attribute name %s", name)
 	}
 	if err := t.skipSpace(); err != nil {
-		return Attr{}, t.errf("unexpected EOF in attribute %s", name)
+		return Attr{}, t.markupErr(err, "unexpected EOF in attribute %s", name)
 	}
 	quote, err := t.readByte()
 	if err != nil || (quote != '"' && quote != '\'') {
-		return Attr{}, t.errf("expected quoted value for attribute %s", name)
+		return Attr{}, t.markupErr(err, "expected quoted value for attribute %s", name)
 	}
 	t.buf.Reset()
 	var prev byte
 	for {
 		b, err := t.readByte()
 		if err != nil {
-			return Attr{}, t.errf("unterminated value for attribute %s", name)
+			return Attr{}, t.markupErr(err, "unterminated value for attribute %s", name)
 		}
 		if b == quote {
 			val, err := t.decodeEntities(t.buf.String())
@@ -446,11 +475,11 @@ func (t *Tokenizer) readEndTag() (Token, error) {
 		return Token{}, err
 	}
 	if err := t.skipSpace(); err != nil {
-		return Token{}, t.errf("unexpected EOF in end tag </%s>", name)
+		return Token{}, t.markupErr(err, "unexpected EOF in end tag </%s>", name)
 	}
 	b, err := t.readByte()
 	if err != nil || b != '>' {
-		return Token{}, t.errf("expected '>' in end tag </%s>", name)
+		return Token{}, t.markupErr(err, "expected '>' in end tag </%s>", name)
 	}
 	if len(t.stack) == 0 {
 		return Token{}, t.errf("end tag </%s> with no open element", name)
@@ -509,7 +538,9 @@ func (t *Tokenizer) readText() (string, error) {
 			continue
 		}
 		// CDATA continues the text run; anything else ends it.
-		if !t.atCDATA() {
+		if cdata, err := t.atCDATA(); err != nil {
+			return "", err
+		} else if !cdata {
 			break
 		}
 		t.discard(len(cdataOpen))

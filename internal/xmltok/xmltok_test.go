@@ -1,6 +1,7 @@
 package xmltok
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -191,5 +192,40 @@ func TestUnicodeContent(t *testing.T) {
 	got = tokens(t, `<ün><x/></ün>`, Options{})
 	if got[0].Name != "ün" {
 		t.Errorf("unicode name: %q", got[0].Name)
+	}
+}
+
+// failingReader returns data, then err on every later Read.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// A read error is the reader's, wherever it strikes: cut a well-formed
+// document at every offset, inside each kind of markup and inside text,
+// and the error must carry the reader's sentinel and be no SyntaxError.
+func TestReadErrorKeepsCause(t *testing.T) {
+	errCut := errors.New("connection reset")
+	doc := `<?xml version="1.0"?><!DOCTYPE r [<!ELEMENT r ANY>]>` +
+		`<r a="1" b='&amp;'><!-- c --><s x="y"/>t&lt;<![CDATA[d]]><?pi x?></r >`
+	for cut := 0; cut < len(doc); cut++ {
+		tz := New(&failingReader{data: []byte(doc[:cut]), err: errCut})
+		var err error
+		for err == nil {
+			_, err = tz.Next()
+		}
+		var se *SyntaxError
+		if !errors.Is(err, errCut) || errors.As(err, &se) {
+			t.Fatalf("cut at %d (%q): got %v, want the reader's error", cut, doc[:cut], err)
+		}
 	}
 }
